@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 usage error, 2 data/parse error.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -70,6 +69,9 @@ def _config_from_args(args) -> TrainConfig:
     )
 
 
+_THREADS_HELP = "accepted but has no effect: queries are classified serially"
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="pqgrams", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -110,7 +112,7 @@ def build_parser() -> _Parser:
     )
     p_eval.add_argument("--folds", type=int, default=5)
     p_eval.add_argument("--csv", help="write per-fold results as CSV")
-    p_eval.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p_eval.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     _add_shape_flags(p_eval)
     _add_train_flags(p_eval)
     p_eval.set_defaults(func=_cmd_knn_eval)
@@ -122,7 +124,7 @@ def build_parser() -> _Parser:
     p_bench.add_argument("--model", help="model file for wpq (default: fresh weights)")
     p_bench.add_argument("--seed", type=int, default=0, help="train/test split seed")
     p_bench.add_argument("--repeats", type=int, default=3)
-    p_bench.add_argument("--threads", type=int, default=1)
+    p_bench.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     _add_shape_flags(p_bench)
     p_bench.set_defaults(func=_cmd_bench)
 
@@ -193,8 +195,7 @@ def _cmd_knn_eval(args) -> int:
             return weighted_gram_distance(train(train_items, shape, cfg))
 
     report = cross_validate(
-        corpus.items, builder, args.k, folds=args.folds, seed=args.seed,
-        threads=args.threads,
+        corpus.items, builder, args.k, folds=args.folds, seed=args.seed
     )
     print(f"dataset: {args.data} ({len(corpus)} trees)  setting: {args.setting}")
     print(report.render_table())
@@ -237,7 +238,7 @@ def _cmd_bench(args) -> int:
     train_trees = [it.tree for it in train_items]
     print(
         f"bench: {len(train_items)} train / {len(test_trees)} test, "
-        f"k={args.k}, repeats={args.repeats}, threads={args.threads}"
+        f"k={args.k}, repeats={args.repeats}"
     )
     for algo in algos:
         if algo == "pq":
@@ -251,8 +252,7 @@ def _cmd_bench(args) -> int:
         else:
             dist = edit_distance_baseline()
         result = benchmark_inference(
-            train_items, test_trees, dist, args.k,
-            repeats=args.repeats, threads=args.threads,
+            train_items, test_trees, dist, args.k, repeats=args.repeats
         )
         print(result)
     return 0

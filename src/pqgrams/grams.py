@@ -42,32 +42,32 @@ def extract_grams(t: Tree, shape: GramShape) -> Counter[LabelTuple]:
     """
     p, q = shape.p, shape.q
     nodes = t.nodes
-    grams: Counter[LabelTuple] = Counter()
-    flank = [DUMMY] * (q - 1)
+    flank = (DUMMY,) * (q - 1)
     leaf_base = (DUMMY,) * q
-    # label path from root to current node, pre-padded so the last p
-    # entries are always a full stem
-    path: list[str] = [DUMMY] * (p - 1)
-    stack: list[tuple[int, bool]] = [(t.root, False)]
+    out: list[LabelTuple] = []
+    append = out.append
+    # preorder; each entry carries its node's stem (the last p labels of
+    # the root path, dummy-padded above the root)
+    stack = [(t.root, (DUMMY,) * (p - 1) + (nodes[t.root].label,))]
+    push = stack.append
     while stack:
-        nid, leaving = stack.pop()
-        if leaving:
-            path.pop()
-            continue
-        node = nodes[nid]
-        path.append(node.label)
-        stem = tuple(path[-p:])
-        ch = node.children
+        nid, stem = stack.pop()
+        ch = nodes[nid].children
         if not ch:
-            grams[stem + leaf_base] += 1
-        else:
-            ext = flank + [nodes[c].label for c in ch] + flank
-            for i in range(len(ch) + q - 1):
-                grams[stem + tuple(ext[i : i + q])] += 1
-        stack.append((nid, True))
+            append(stem + leaf_base)
+            continue
+        tail = stem[1:]
+        labels = []
         for c in reversed(ch):
-            stack.append((c, False))
-    return grams
+            label = nodes[c].label
+            labels.append(label)
+            push((c, tail + (label,)))
+        labels.reverse()
+        ext = flank + tuple(labels) + flank
+        for i in range(len(ch) + q - 1):
+            append(stem + ext[i : i + q])
+    # Counter keeps first-occurrence order, which vocabularies rely on
+    return Counter(out)
 
 
 def gram_count(t: Tree, shape: GramShape) -> int:
@@ -182,6 +182,14 @@ class Profile:
         return int(self.counts.sum())
 
 
+def _profile_of(vocab: Vocabulary, acc: dict[int, int]) -> Profile:
+    idx = sorted(acc)
+    vals = [acc[i] for i in idx]
+    return Profile(
+        vocab, vocab.shape, np.array(idx, dtype=np.int64), np.array(vals, dtype=np.int64)
+    )
+
+
 def profile(t: Tree, vocab: Vocabulary, shape: GramShape | None = None) -> Profile:
     """Count vector of ``t`` over ``vocab``; unseen tuples land in the OOV slot."""
     if shape is None:
@@ -189,13 +197,39 @@ def profile(t: Tree, vocab: Vocabulary, shape: GramShape | None = None) -> Profi
     elif shape != vocab.shape:
         raise ValueError(f"shape {shape} does not match vocabulary shape {vocab.shape}")
     acc: dict[int, int] = {}
-    id_of = vocab.id_of
+    ids, oov = vocab._ids, vocab.oov_id
     for tup, c in extract_grams(t, shape).items():
-        i = id_of(tup)
+        i = ids.get(tup, oov)
         acc[i] = acc.get(i, 0) + c
-    idx = np.fromiter(sorted(acc), dtype=np.int64, count=len(acc))
-    vals = np.fromiter((acc[i] for i in idx), dtype=np.int64, count=len(acc))
-    return Profile(vocab, shape, idx, vals)
+    return _profile_of(vocab, acc)
+
+
+def encode_trees(
+    trees: Iterable[Tree], shape: GramShape
+) -> tuple[Vocabulary, list[Profile]]:
+    """``build_vocabulary(trees, shape)`` and every tree's profile over it,
+    extracting each tree's grams once. No profile has OOV counts."""
+    ids: dict[LabelTuple, int] = {}
+    accs: list[dict[int, int]] = []
+    for t in trees:
+        # tuples are distinct within one tree's multiset, and ids are handed
+        # out in first-occurrence order as in Vocabulary.from_trees
+        grams = extract_grams(t, shape)
+        accs.append({ids.setdefault(tup, len(ids)): c for tup, c in grams.items()})
+    if not accs:
+        raise ValueError("cannot build a vocabulary from an empty collection")
+    vocab = Vocabulary(shape, ids)
+    return vocab, [_profile_of(vocab, acc) for acc in accs]
+
+
+def count_matrix(profiles: Sequence[Profile], vocab: Vocabulary) -> np.ndarray:
+    """Dense float64 counts over ``vocab``, one row per profile."""
+    X = np.zeros((len(profiles), vocab.dim))
+    for row, p in zip(X, profiles):
+        if p.vocab is not vocab and p.vocab != vocab:
+            raise ValueError("profile was built over a different vocabulary")
+        row[p.indices] = p.counts
+    return X
 
 
 def _require_same_vocab(x: Profile, y: Profile) -> None:

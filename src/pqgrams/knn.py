@@ -10,7 +10,6 @@ from __future__ import annotations
 import random
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -195,13 +194,6 @@ class EvalReport:
         return rows
 
 
-def _classify_batch(train_items, queries, dist, k, threads):
-    if threads <= 1:
-        return [knn_classify(train_items, q, dist, k) for q in queries]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda q: knn_classify(train_items, q, dist, k), queries))
-
-
 def cross_validate(
     data: Sequence[LabeledTree],
     dist_builder: Callable[[Sequence[LabeledTree]], TreeDistance],
@@ -215,6 +207,8 @@ def cross_validate(
     ``dist_builder`` receives each fold's training items (where any metric
     learning happens) and returns the distance used to classify that fold.
     Timed inference covers encoding plus classification, not training.
+    ``threads`` has no effect: queries are classified serially, which
+    measured faster than a thread pool under the interpreter lock.
     """
     labels = [item.label for item in data]
     parts = stratified_folds(labels, folds, seed)
@@ -239,9 +233,7 @@ def cross_validate(
         if isinstance(dist, TreeDistance):
             dist.prepare([item.tree for item in train_items])
             dist.prepare([data[i].tree for i in part])
-        preds = _classify_batch(
-            train_items, [data[i].tree for i in part], dist, k, threads
-        )
+        preds = [knn_classify(train_items, data[i].tree, dist, k) for i in part]
         elapsed = time.perf_counter() - t0
         wrong = sum(1 for i, pred in zip(part, preds) if pred != data[i].label)
         fold_errors.append(wrong / len(part))
@@ -282,8 +274,8 @@ def benchmark_inference(
 ) -> BenchResult:
     """Time the full inference pipeline: encoding, all train x test
     distances, and the majority votes. Repeated ``repeats`` times from a
-    cold cache; single-threaded by default so ratios reflect algorithmic
-    cost rather than core count.
+    cold cache, single-threaded so ratios reflect algorithmic cost rather
+    than core count; ``threads`` has no effect.
     """
     if not train or not test:
         raise ValueError("train and test must be non-empty")
@@ -293,6 +285,7 @@ def benchmark_inference(
         t0 = time.perf_counter()
         dist.prepare([item.tree for item in train])
         dist.prepare(test)
-        _classify_batch(train, test, dist, k, threads)
+        for q in test:
+            knn_classify(train, q, dist, k)
         runs.append(time.perf_counter() - t0)
     return BenchResult(dist.name, runs)

@@ -8,10 +8,17 @@ closer than the k-th target is an impostor (negative pair). The hinge loss
 
 is minimized by full-batch Adam; impostors are recomputed periodically with
 the current weights, targets stay fixed at their initial-distance choice.
+
+Training encodes its trees once, as a dense count matrix, and every
+distance it needs comes from the pairwise kernel in ``metric``: targets
+from one kernel row per point against its class, each impostor refresh
+from one symmetric matrix over the whole training set, and the per-pair
+difference vectors of the loss from blocks of row differences.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from dataclasses import dataclass, field
@@ -19,8 +26,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .grams import GramShape, Profile, Vocabulary, profile, sym_diff
-from .metric import WeightModel, sigmoid, softplus, weighted_distance
+from .grams import GramShape, Profile, Vocabulary, count_matrix, encode_trees
+from .metric import (
+    WeightModel,
+    pairwise_distances,
+    sigmoid,
+    softplus,
+    symmetric_distances,
+)
 from .tree import Tree
 
 ADAM_BETA1 = 0.9
@@ -78,11 +91,14 @@ def build_targets(
     labels: Sequence[int],
     model: WeightModel,
     k: int,
+    *,
+    counts: np.ndarray | None = None,
 ) -> list[tuple[int, int]]:
     """For each i, pairs to its k nearest same-label points under ``model``.
 
     Distance ties break toward the lower index. Raises if any class has
-    fewer than k+1 members.
+    fewer than k+1 members. ``counts`` is ``count_matrix(profiles,
+    model.vocab)`` when the caller already has it.
     """
     m = len(profiles)
     by_label: dict[int, list[int]] = {}
@@ -93,15 +109,13 @@ def build_targets(
             raise ValueError(
                 f"class {lab} has {len(members)} members, needs at least {k + 1}"
             )
+    X = count_matrix(profiles, model.vocab) if counts is None else counts
     pairs: list[tuple[int, int]] = []
     for i in range(m):
-        cands = [
-            (weighted_distance(model, profiles[i], profiles[j]), j)
-            for j in by_label[labels[i]]
-            if j != i
-        ]
-        cands.sort()
-        pairs.extend((i, j) for _, j in cands[:k])
+        js = np.array([j for j in by_label[labels[i]] if j != i])
+        d = pairwise_distances(model, X[i : i + 1], X[js])[0]
+        # stable sort over ascending js: equal distances keep the lower index
+        pairs.extend((i, j) for j in js[np.argsort(d, kind="stable")[:k]].tolist())
     return pairs
 
 
@@ -111,29 +125,37 @@ def find_impostors(
     model: WeightModel,
     targets: Sequence[tuple[int, int]],
     k: int,
+    *,
+    counts: np.ndarray | None = None,
 ) -> list[tuple[int, int]]:
     """Differently-labeled points strictly closer than the k-th target.
 
-    Radii come from ``targets`` re-measured under the current ``model``;
-    the result may be empty.
+    One symmetric distance matrix over all points under the current
+    ``model`` gives both the radii (the farthest target of each point) and
+    the candidates; the result may be empty. ``counts`` is
+    ``count_matrix(profiles, model.vocab)`` when the caller already has it.
     """
     m = len(profiles)
-    target_js: dict[int, list[int]] = {i: [] for i in range(m)}
+    target_js: list[list[int]] = [[] for _ in range(m)]
     for i, j in targets:
         target_js[i].append(j)
-    for i, js in target_js.items():
+    for i, js in enumerate(target_js):
         if len(js) != k:
             raise ValueError(f"point {i} has {len(js)} targets, expected {k}")
+    X = count_matrix(profiles, model.vocab) if counts is None else counts
+    D = symmetric_distances(model, X)
+    labels_arr = np.asarray(labels)
     out: list[tuple[int, int]] = []
     for i in range(m):
-        radius = max(
-            weighted_distance(model, profiles[i], profiles[j]) for j in target_js[i]
-        )
-        for j in range(m):
-            if labels[j] != labels[i]:
-                if weighted_distance(model, profiles[i], profiles[j]) < radius:
-                    out.append((i, j))
+        radius = D[i, target_js[i]].max()
+        hits = np.flatnonzero((labels_arr != labels_arr[i]) & (D[i] < radius))
+        out.extend((i, j) for j in hits.tolist())
     return out
+
+
+# pairs per block when differencing count rows, which bounds the temporary
+# difference block at this many rows of the vocabulary dimension
+_PAIR_BLOCK = 32
 
 
 class _PairTerms:
@@ -141,44 +163,44 @@ class _PairTerms:
 
     Lets the whole-epoch loss and gradient run as a handful of vectorized
     reductions instead of per-pair Python loops; results match the per-pair
-    definitions (same index-ascending summation per pair).
+    definitions (same index-ascending summation per pair). ``loss`` and
+    ``gradient`` take the pair distances ``d`` from ``distances(w)``, so one
+    distance vector serves both at the same weights.
     """
 
     __slots__ = ("n_pos", "n_pairs", "idx", "val", "seg")
 
-    def __init__(self, profiles: Sequence[Profile], pairs: PairSet):
+    def __init__(self, X: np.ndarray, pairs: PairSet):
+        ij = np.array(pairs.positives + pairs.negatives, dtype=np.int64).reshape(-1, 2)
         self.n_pos = len(pairs.positives)
-        self.n_pairs = self.n_pos + len(pairs.negatives)
-        idx_parts: list[np.ndarray] = []
-        val_parts: list[np.ndarray] = []
-        seg_parts: list[np.ndarray] = []
-        for s, (i, j) in enumerate(pairs.positives + pairs.negatives):
-            d = sym_diff(profiles[i], profiles[j])
-            idx_parts.append(d.indices)
-            val_parts.append(d.values)
-            seg_parts.append(np.full(len(d.indices), s, dtype=np.int64))
-        if idx_parts:
-            self.idx = np.concatenate(idx_parts)
-            self.val = np.concatenate(val_parts).astype(np.float64)
-            self.seg = np.concatenate(seg_parts)
-        else:
-            self.idx = np.empty(0, dtype=np.int64)
-            self.val = np.empty(0)
-            self.seg = np.empty(0, dtype=np.int64)
+        self.n_pairs = len(ij)
+        idx_parts: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+        val_parts: list[np.ndarray] = [np.empty(0)]
+        seg_parts: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+        for lo in range(0, self.n_pairs, _PAIR_BLOCK):
+            block = ij[lo : lo + _PAIR_BLOCK]
+            diff = X[block[:, 0]] - X[block[:, 1]]
+            np.abs(diff, out=diff)
+            # row-major order: pair by pair, indices ascending within a pair
+            seg, idx = np.nonzero(diff)
+            seg_parts.append(seg + lo)
+            idx_parts.append(idx)
+            val_parts.append(diff[seg, idx])
+        self.idx = np.concatenate(idx_parts)
+        self.val = np.concatenate(val_parts)
+        self.seg = np.concatenate(seg_parts)
 
-    def distances(self, eff_weights: np.ndarray) -> np.ndarray:
+    def distances(self, w: np.ndarray) -> np.ndarray:
         return np.bincount(
-            self.seg, weights=eff_weights[self.idx] * self.val, minlength=self.n_pairs
+            self.seg, weights=softplus(w)[self.idx] * self.val, minlength=self.n_pairs
         )
 
-    def loss(self, w: np.ndarray, cfg: TrainConfig) -> float:
-        d = self.distances(softplus(w))
+    def loss(self, w: np.ndarray, d: np.ndarray, cfg: TrainConfig) -> float:
         pos = np.maximum(d[: self.n_pos] - cfg.mu1, 0.0).sum()
         neg = np.maximum(cfg.mu2 - d[self.n_pos :], 0.0).sum()
         return float(cfg.beta * (w @ w) + pos + neg)
 
-    def gradient(self, w: np.ndarray, cfg: TrainConfig) -> np.ndarray:
-        d = self.distances(softplus(w))
+    def gradient(self, w: np.ndarray, d: np.ndarray, cfg: TrainConfig) -> np.ndarray:
         coeff = np.zeros(self.n_pairs)
         coeff[: self.n_pos][d[: self.n_pos] > cfg.mu1] = 1.0
         coeff[self.n_pos :][d[self.n_pos :] < cfg.mu2] = -1.0
@@ -186,7 +208,7 @@ class _PairTerms:
         if len(self.idx):
             grad += np.bincount(
                 self.idx,
-                weights=sigmoid(w[self.idx]) * self.val * coeff[self.seg],
+                weights=sigmoid(w)[self.idx] * self.val * coeff[self.seg],
                 minlength=len(w),
             )
         return grad
@@ -199,7 +221,8 @@ def loss(
     cfg: TrainConfig,
 ) -> float:
     """Hinge loss: beta*||w||^2 + sum_P [d - mu1]_+ + sum_N [mu2 - d]_+."""
-    return _PairTerms(profiles, pairs).loss(model.w, cfg)
+    terms = _PairTerms(count_matrix(profiles, model.vocab), pairs)
+    return terms.loss(model.w, terms.distances(model.w), cfg)
 
 
 def loss_gradient(
@@ -212,7 +235,8 @@ def loss_gradient(
 
     A hinge sitting exactly at its kink counts as inactive.
     """
-    return _PairTerms(profiles, pairs).gradient(model.w, cfg)
+    terms = _PairTerms(count_matrix(profiles, model.vocab), pairs)
+    return terms.gradient(model.w, terms.distances(model.w), cfg)
 
 
 @dataclass
@@ -309,35 +333,36 @@ def train(
 
     rng = random.Random(cfg.seed)
     keep = stratified_subsample(labels_all, cfg.subsample_cap, cfg.k, rng)
-    trees = [data[i].tree for i in keep]
-    labels = [data[i].label for i in keep]
-
-    vocab = Vocabulary.from_trees(trees, shape)
-    profiles = [profile(t, vocab) for t in trees]
+    vocab, profiles, labels = encode_dataset([data[i] for i in keep], shape)
+    X = count_matrix(profiles, vocab)
     model = WeightModel.initial(vocab)
 
-    targets = build_targets(profiles, labels, model, cfg.k)
-    negatives = find_impostors(profiles, labels, model, targets, cfg.k)
-    terms = _PairTerms(profiles, PairSet(list(targets), negatives))
+    targets = build_targets(profiles, labels, model, cfg.k, counts=X)
+    negatives = find_impostors(profiles, labels, model, targets, cfg.k, counts=X)
+    terms = _PairTerms(X, PairSet(targets, negatives))
 
     w = model.w.copy()
-    trace = [terms.loss(w, cfg)]
+    # the distances at the current w serve both the loss just recorded and
+    # the next epoch's gradient
+    d = terms.distances(w)
+    trace = [terms.loss(w, d, cfg)]
     m1 = np.zeros_like(w)
     m2 = np.zeros_like(w)
     for epoch in range(1, cfg.epochs + 1):
         if epoch > 1 and (epoch - 1) % cfg.impostor_refresh_every == 0:
-            model.w = w
-            negatives = find_impostors(profiles, labels, model, targets, cfg.k)
-            terms = _PairTerms(profiles, PairSet(list(targets), negatives))
-        g = terms.gradient(w, cfg)
+            model = WeightModel(vocab, w)
+            negatives = find_impostors(profiles, labels, model, targets, cfg.k, counts=X)
+            terms = _PairTerms(X, PairSet(targets, negatives))
+            d = terms.distances(w)
+        g = terms.gradient(w, d, cfg)
         m1 = ADAM_BETA1 * m1 + (1.0 - ADAM_BETA1) * g
         m2 = ADAM_BETA2 * m2 + (1.0 - ADAM_BETA2) * g * g
         m1_hat = m1 / (1.0 - ADAM_BETA1**epoch)
         m2_hat = m2 / (1.0 - ADAM_BETA2**epoch)
         w = w - cfg.eta * m1_hat / (np.sqrt(m2_hat) + ADAM_EPS)
-        trace.append(terms.loss(w, cfg))
-    model.w = w
-    return TrainedModel(model, cfg, trace)
+        d = terms.distances(w)
+        trace.append(terms.loss(w, d, cfg))
+    return TrainedModel(WeightModel(vocab, w), cfg, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +374,10 @@ def train(
 #   <label>TAB...TAB<label>TAB<raw weight>     (one line per vocabulary tuple)
 #   OOV <raw weight>
 #
-# Weights are written with repr() so they round-trip to the exact float.
+# Weights are written with repr() so they round-trip to the exact float and
+# must be finite. A tuple's first label may itself start with '#', so comment
+# lines are read only between the header and the first tuple line, and only
+# when they hold no tab.
 # ---------------------------------------------------------------------------
 
 _HEADER_RE = re.compile(r"^pqgram-model (\S+) p=(\d+) q=(\d+) dim=(\d+)$")
@@ -397,6 +425,16 @@ def _parse_config_comment(text: str) -> TrainConfig:
     )
 
 
+def _parse_weight(path, lineno: int, text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise ModelFormatError(f"{path}:{lineno}: bad weight {text!r}")
+    if not math.isfinite(value):
+        raise ModelFormatError(f"{path}:{lineno}: non-finite weight {text!r}")
+    return value
+
+
 def load_model(path) -> TrainedModel:
     with open(path, "r", encoding="utf-8") as fh:
         raw = fh.read().splitlines()
@@ -416,22 +454,27 @@ def load_model(path) -> TrainedModel:
     tuples: list[tuple[str, ...]] = []
     weights: list[float] = []
     oov_weight: float | None = None
+    in_header = True
     for lineno, line in enumerate(raw[1:], start=2):
-        if line.startswith("# config "):
-            try:
-                config = _parse_config_comment(line[len("# config ") :])
-            except (KeyError, ValueError) as e:
-                raise ModelFormatError(f"{path}:{lineno}: bad config comment ({e})")
+        # comments live only in the header block and hold no tab: a label may
+        # start with '#', but tuple lines always hold tabs (labels never do)
+        if in_header and line.startswith("#") and "\t" not in line:
+            if line.startswith("# config "):
+                try:
+                    config = _parse_config_comment(line[len("# config ") :])
+                except (KeyError, ValueError) as e:
+                    raise ModelFormatError(f"{path}:{lineno}: bad config comment ({e})")
+            elif line.startswith("# loss "):
+                try:
+                    final_loss = float(line[len("# loss ") :])
+                except ValueError:
+                    raise ModelFormatError(f"{path}:{lineno}: bad loss comment {line!r}")
             continue
-        if line.startswith("# loss "):
-            final_loss = float(line[len("# loss ") :])
-            continue
-        if line.startswith("#"):
-            continue
+        in_header = False
         if oov_weight is not None:
             raise ModelFormatError(f"{path}:{lineno}: content after the OOV line")
         if line.startswith("OOV "):
-            oov_weight = float(line[len("OOV ") :])
+            oov_weight = _parse_weight(path, lineno, line[len("OOV ") :])
             continue
         parts = line.split("\t")
         if len(parts) != width + 1:
@@ -440,10 +483,7 @@ def load_model(path) -> TrainedModel:
                 f"got {len(parts)} fields"
             )
         tuples.append(tuple(parts[:-1]))
-        try:
-            weights.append(float(parts[-1]))
-        except ValueError:
-            raise ModelFormatError(f"{path}:{lineno}: bad weight {parts[-1]!r}")
+        weights.append(_parse_weight(path, lineno, parts[-1]))
     if oov_weight is None:
         raise ModelFormatError(f"{path}: truncated model file (missing OOV line)")
     if len(tuples) != dim - 1:
@@ -460,9 +500,8 @@ def encode_dataset(
     data: Sequence[LabeledTree], shape: GramShape
 ) -> tuple[Vocabulary, list[Profile], list[int]]:
     """Vocabulary, profiles and labels for a labeled dataset, in one shot."""
-    trees = [item.tree for item in data]
-    vocab = Vocabulary.from_trees(trees, shape)
-    return vocab, [profile(t, vocab) for t in trees], [item.label for item in data]
+    vocab, profiles = encode_trees([item.tree for item in data], shape)
+    return vocab, profiles, [item.label for item in data]
 
 
 __all__ = [

@@ -10,6 +10,7 @@ from pqgrams.grams import (
     GramShape,
     Vocabulary,
     build_vocabulary,
+    encode_trees,
     extract_grams,
     gram_count,
     multiset_distance,
@@ -190,3 +191,19 @@ def test_oov_collapse_is_exact_for_query_vs_training_pairs():
             got = sym_diff(pq_, profile(t, v)).total()
             want = multiset_distance(extract_grams(q, S12), extract_grams(t, S12))
             assert got == want
+
+
+def test_encode_trees_matches_vocabulary_then_profile():
+    rng = random.Random(17)
+    for _ in range(20):
+        ts = [random_tree_raw(rng.randrange(1, 15), rng) for _ in range(rng.randrange(1, 8))]
+        shape = GramShape(rng.randrange(1, 4), rng.randrange(1, 4))
+        vocab, profiles = encode_trees(ts, shape)
+        assert vocab.tuples == build_vocabulary(ts, shape).tuples
+        for t, p in zip(ts, profiles):
+            want = profile(t, vocab)
+            assert p.vocab is vocab
+            assert p.indices.tolist() == want.indices.tolist()
+            assert p.counts.tolist() == want.counts.tolist()
+    with pytest.raises(ValueError):
+        encode_trees([], S12)

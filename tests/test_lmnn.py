@@ -402,3 +402,55 @@ def test_malformed_model_files_rejected(tmp_path):
     )
     with pytest.raises(ModelFormatError, match="dim"):
         load_model(wrong_dim)
+
+
+def test_model_with_hash_labels_round_trips(tmp_path):
+    # '#' starts a legal label, so tuple lines may start with '#' too
+    data = [
+        LabeledTree(parse_tree(text), lab)
+        for text, lab in [
+            ("#a(b,c)", 0), ("#a(b,b)", 0), ("#a(c)", 0),
+            ("#x(y,z)", 1), ("#x(y)", 1), ("#x(z,z)", 1),
+        ]
+    ]
+    trained = train(data, S12, TrainConfig(k=1, epochs=3, seed=0))
+    assert any(tup[0].startswith("#") for tup in trained.vocab.tuples)
+    path = tmp_path / "model.txt"
+    save_model(trained, path)
+    loaded = load_model(path)
+    assert loaded.vocab.tuples == trained.vocab.tuples
+    assert loaded.model.w.tobytes() == trained.model.w.tobytes()
+    assert loaded.config == trained.config
+    assert loaded.final_loss == trained.final_loss
+
+
+def test_comment_after_first_tuple_line_is_content(tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_text(
+        "pqgram-model v1 p=1 q=2 dim=2\n# loss 1.0\na\t*\t*\t0.5\n# note\nOOV 0.5\n"
+    )
+    with pytest.raises(ModelFormatError, match=":4:"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
+def test_non_finite_weights_rejected_with_line_number(tmp_path, bad):
+    tuple_line = tmp_path / "tuple.txt"
+    tuple_line.write_text(f"pqgram-model v1 p=1 q=2 dim=2\na\t*\t*\t{bad}\nOOV 0.5\n")
+    with pytest.raises(ModelFormatError, match=r":2: non-finite weight"):
+        load_model(tuple_line)
+    oov_line = tmp_path / "oov.txt"
+    oov_line.write_text(f"pqgram-model v1 p=1 q=2 dim=2\na\t*\t*\t0.5\nOOV {bad}\n")
+    with pytest.raises(ModelFormatError, match=r":3: non-finite weight"):
+        load_model(oov_line)
+
+
+def test_malformed_loss_and_oov_lines_rejected(tmp_path):
+    bad_loss = tmp_path / "loss.txt"
+    bad_loss.write_text("pqgram-model v1 p=1 q=2 dim=1\n# loss not-a-number\nOOV 0.5\n")
+    with pytest.raises(ModelFormatError, match=":2: bad loss"):
+        load_model(bad_loss)
+    bad_oov = tmp_path / "oov.txt"
+    bad_oov.write_text("pqgram-model v1 p=1 q=2 dim=1\nOOV x\n")
+    with pytest.raises(ModelFormatError, match=":2: bad weight"):
+        load_model(bad_oov)

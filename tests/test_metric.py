@@ -4,14 +4,16 @@ import random
 import numpy as np
 import pytest
 
-from pqgrams.grams import GramShape, build_vocabulary, profile, sym_diff
+from pqgrams.grams import GramShape, build_vocabulary, count_matrix, profile, sym_diff
 from pqgrams.metric import (
     W_INIT,
     WeightModel,
     distance_gradient,
+    pairwise_distances,
     pq_distance,
     sigmoid,
     softplus,
+    symmetric_distances,
     weighted_distance,
 )
 from pqgrams.tree import parse_tree
@@ -182,3 +184,44 @@ def test_positivity_of_effective_weights():
     w = np.array([-700.0, -10.0, 0.0, 10.0, 700.0, 1e-300])
     model = WeightModel(v, np.resize(w, v.dim))
     assert (model.effective_weights() > 0).all()
+
+
+def test_weight_model_rejects_non_finite_weights():
+    v, _, _ = pair_profiles("a(b,c)", "a(c,b)")
+    for bad in (np.nan, np.inf, -np.inf):
+        w = np.zeros(v.dim)
+        w[1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            WeightModel(v, w)
+
+
+def test_kernel_agrees_bit_for_bit_with_pair_calls():
+    rng = random.Random(41)
+    np_rng = np.random.default_rng(41)
+    for trial in range(6):
+        ts = [random_tree_raw(rng.randrange(1, 25), rng) for _ in range(rng.randrange(2, 14))]
+        v = build_vocabulary(ts, S12)
+        ps = [profile(t, v) for t in ts]
+        X = count_matrix(ps, v)
+        m = len(ps)
+        model = WeightModel(v, np_rng.uniform(-4, 4, v.dim))
+        pairs = np.array(
+            [[weighted_distance(model, ps[i], ps[j]) for j in range(m)] for i in range(m)]
+        )
+        full = pairwise_distances(model, X, X)
+        assert full.tobytes() == pairs.tobytes()
+        assert symmetric_distances(model, X).tobytes() == pairs.tobytes()
+        for i in range(m):  # 1 x m rows
+            assert pairwise_distances(model, X[i : i + 1], X).tobytes() == pairs[i].tobytes()
+        lo = 0
+        while lo < m:  # uneven row blocks against a column subset
+            hi = min(m, lo + rng.randrange(1, 5))
+            cols = sorted(rng.sample(range(m), rng.randrange(1, m + 1)))
+            got = pairwise_distances(model, X[lo:hi], X[cols])
+            assert got.tobytes() == pairs[lo:hi][:, cols].tobytes()
+            lo = hi
+        assert np.array_equal(full, full.T)
+        assert np.all(np.diag(full) == 0.0)
+        init = pairwise_distances(WeightModel.initial(v), X, X)
+        want = [[float(pq_distance(ps[i], ps[j])) for j in range(m)] for i in range(m)]
+        assert init.tolist() == want
