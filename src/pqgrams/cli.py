@@ -11,17 +11,17 @@ import sys
 from pathlib import Path
 
 from .datasets import gen_strings, load_tsv, save_tsv
-from .grams import GramShape, Vocabulary, extract_grams, profile
+from .grams import GramShape, Vocabulary, extract_grams, multiset_distance, profile
 from .knn import (
-    TreeDistance,
     benchmark_inference,
     cross_validate,
     edit_distance_baseline,
+    stratified_folds,
     unweighted_gram_distance,
     weighted_gram_distance,
 )
-from .lmnn import TrainConfig, load_model, save_model, train
-from .metric import WeightModel, pq_distance, weighted_distance
+from .lmnn import CONFIG_KEYS, TrainConfig, load_model, save_model, train
+from .metric import WeightModel, weighted_distance
 from .ted import tree_edit_distance
 from .tree import parse_tree
 
@@ -44,29 +44,22 @@ def _add_shape_flags(p: argparse.ArgumentParser, default: int | None = 2):
 
 
 def _add_train_flags(p: argparse.ArgumentParser):
-    p.add_argument("-k", type=int, default=3, help="neighbor count (default %(default)s)")
-    p.add_argument("--mu1", type=float, default=5.0, help="positive-pair margin")
-    p.add_argument("--mu2", type=float, default=5.0, help="negative-pair margin")
-    p.add_argument("--beta", type=float, default=1e-4, help="L2 coefficient")
-    p.add_argument("--eta", type=float, default=1e-2, help="Adam step size")
-    p.add_argument("--epochs", type=int, default=600, help="training epochs")
-    p.add_argument("--refresh", type=int, default=50, help="impostor refresh period")
-    p.add_argument("--cap", type=int, default=200, help="training subsample cap")
-    p.add_argument("--seed", type=int, default=0, help="random seed")
+    c = TrainConfig
+    p.add_argument("-k", type=int, default=c.k, help="neighbor count (default %(default)s)")
+    p.add_argument("--mu1", type=float, default=c.mu1, help="positive-pair margin")
+    p.add_argument("--mu2", type=float, default=c.mu2, help="negative-pair margin")
+    p.add_argument("--beta", type=float, default=c.beta, help="L2 coefficient")
+    p.add_argument("--eta", type=float, default=c.eta, help="Adam step size")
+    p.add_argument("--epochs", type=int, default=c.epochs, help="training epochs")
+    p.add_argument(
+        "--refresh", type=int, default=c.impostor_refresh_every, help="impostor refresh period"
+    )
+    p.add_argument("--cap", type=int, default=c.subsample_cap, help="training subsample cap")
+    p.add_argument("--seed", type=int, default=c.seed, help="random seed")
 
 
 def _config_from_args(args) -> TrainConfig:
-    return TrainConfig(
-        k=args.k,
-        mu1=args.mu1,
-        mu2=args.mu2,
-        beta=args.beta,
-        eta=args.eta,
-        epochs=args.epochs,
-        impostor_refresh_every=args.refresh,
-        subsample_cap=args.cap,
-        seed=args.seed,
-    )
+    return TrainConfig(**{name: getattr(args, key) for name, key in CONFIG_KEYS.items()})
 
 
 _THREADS_HELP = "accepted but has no effect: queries are classified serially"
@@ -151,8 +144,7 @@ def _cmd_dist(args) -> int:
     t2 = parse_tree(args.t2)
     if args.algo == "pq":
         shape = GramShape(args.p, args.q)
-        vocab = Vocabulary.from_trees([t1, t2], shape)
-        print(pq_distance(profile(t1, vocab), profile(t2, vocab)))
+        print(multiset_distance(extract_grams(t1, shape), extract_grams(t2, shape)))
     elif args.algo == "wpq":
         if not args.model:
             raise UsageError("--algo wpq requires --model")
@@ -209,24 +201,6 @@ def _cmd_knn_eval(args) -> int:
     return 0
 
 
-def _split_train_test(items, seed: int, test_frac: float = 0.2):
-    import random as _random
-
-    rng = _random.Random(seed)
-    by_label: dict[int, list[int]] = {}
-    for i, item in enumerate(items):
-        by_label.setdefault(item.label, []).append(i)
-    test_idx: set[int] = set()
-    for lab in sorted(by_label):
-        members = by_label[lab][:]
-        rng.shuffle(members)
-        n_test = max(1, int(len(members) * test_frac))
-        test_idx.update(members[:n_test])
-    train_items = [item for i, item in enumerate(items) if i not in test_idx]
-    test_trees = [items[i].tree for i in sorted(test_idx)]
-    return train_items, test_trees
-
-
 def _cmd_bench(args) -> int:
     corpus = load_tsv(args.data)
     shape = GramShape(args.p, args.q)
@@ -234,7 +208,9 @@ def _cmd_bench(args) -> int:
     bad = [a for a in algos if a not in ("pq", "wpq", "ted")]
     if bad:
         raise UsageError(f"unknown algo(s): {','.join(bad)}")
-    train_items, test_trees = _split_train_test(corpus.items, args.seed)
+    held_out = set(stratified_folds([it.label for it in corpus.items], 5, args.seed)[0])
+    train_items = [it for i, it in enumerate(corpus.items) if i not in held_out]
+    test_trees = [corpus.items[i].tree for i in sorted(held_out)]
     train_trees = [it.tree for it in train_items]
     print(
         f"bench: {len(train_items)} train / {len(test_trees)} test, "

@@ -28,8 +28,10 @@ class LabeledCorpus:
         if len(set(self.label_names)) != len(self.label_names):
             raise ValueError("label names must be distinct")
         for name in self.label_names:
-            if not name or any(ch in "\t\n\r" for ch in name):
+            # load_tsv reads a line that starts with '#' as a comment
+            if not name or name[0] == "#" or any(ch in "\t\n\r" for ch in name):
                 raise ValueError(f"bad label name {name!r}")
+            name.encode("utf-8")  # UnicodeEncodeError for a lone surrogate
         for item in self.items:
             if not 0 <= item.label < len(self.label_names):
                 raise ValueError(f"label id {item.label} out of range")

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 from .grams import GramShape, Vocabulary, profile
 from .lmnn import LabeledTree, TrainedModel
-from .metric import WeightModel, pq_distance, weighted_distance
+from .metric import WeightModel, weighted_distance
 from .ted import EditCostTable, UNIT_COSTS, tree_edit_distance
 from .tree import Tree
 
@@ -66,16 +66,6 @@ class TreeDistance:
         return self._pair_fn(self._encode(t1), self._encode(t2))
 
 
-def unweighted_gram_distance(train_trees: Sequence[Tree], shape: GramShape) -> TreeDistance:
-    """Plain gram distance over a vocabulary built from the training trees."""
-    vocab = Vocabulary.from_trees(train_trees, shape)
-    return TreeDistance(
-        f"pq(p={shape.p},q={shape.q})",
-        lambda x, y: float(pq_distance(x, y)),
-        encoder=lambda t: profile(t, vocab),
-    )
-
-
 def weighted_gram_distance(model: WeightModel | TrainedModel) -> TreeDistance:
     """Learned weighted gram distance of a trained (or initial) model."""
     wm = model.model if isinstance(model, TrainedModel) else model
@@ -85,6 +75,15 @@ def weighted_gram_distance(model: WeightModel | TrainedModel) -> TreeDistance:
         lambda x, y: weighted_distance(wm, x, y),
         encoder=lambda t: profile(t, wm.vocab),
     )
+
+
+def unweighted_gram_distance(train_trees: Sequence[Tree], shape: GramShape) -> TreeDistance:
+    """Plain gram distance over a vocabulary built from the training trees:
+    the weighted distance at initial weights, which equals it exactly."""
+    vocab = Vocabulary.from_trees(train_trees, shape)
+    dist = weighted_gram_distance(WeightModel.initial(vocab))
+    dist.name = f"pq(p={shape.p},q={shape.q})"
+    return dist
 
 
 def edit_distance_baseline(costs: EditCostTable = UNIT_COSTS) -> TreeDistance:

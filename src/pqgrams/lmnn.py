@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -76,6 +76,11 @@ class TrainConfig:
             raise ValueError("impostor_refresh_every must be >= 1")
         if self.subsample_cap < 1:
             raise ValueError("subsample_cap must be >= 1")
+
+
+# each TrainConfig field's key in a model file's config line and its CLI flag
+CONFIG_KEYS = {f.name: f.name for f in fields(TrainConfig)}
+CONFIG_KEYS.update(impostor_refresh_every="refresh", subsample_cap="cap")
 
 
 @dataclass
@@ -395,12 +400,8 @@ def save_model(trained: TrainedModel, path) -> None:
     ]
     if trained.config is not None:
         c = trained.config
-        lines.append(
-            "# config "
-            f"k={c.k} mu1={c.mu1!r} mu2={c.mu2!r} beta={c.beta!r} eta={c.eta!r} "
-            f"epochs={c.epochs} refresh={c.impostor_refresh_every} "
-            f"cap={c.subsample_cap} seed={c.seed}"
-        )
+        pairs = (f"{key}={getattr(c, name)!r}" for name, key in CONFIG_KEYS.items())
+        lines.append("# config " + " ".join(pairs))
     if trained.final_loss is not None:
         lines.append(f"# loss {trained.final_loss!r}")
     for i, tup in enumerate(vocab.tuples):
@@ -411,18 +412,10 @@ def save_model(trained: TrainedModel, path) -> None:
 
 
 def _parse_config_comment(text: str) -> TrainConfig:
-    fields = dict(kv.split("=", 1) for kv in text.split())
-    return TrainConfig(
-        k=int(fields["k"]),
-        mu1=float(fields["mu1"]),
-        mu2=float(fields["mu2"]),
-        beta=float(fields["beta"]),
-        eta=float(fields["eta"]),
-        epochs=int(fields["epochs"]),
-        impostor_refresh_every=int(fields["refresh"]),
-        subsample_cap=int(fields["cap"]),
-        seed=int(fields["seed"]),
-    )
+    values = dict(kv.split("=", 1) for kv in text.split())
+    # each value takes the type of its field's default: int or float
+    kinds = {name: type(getattr(TrainConfig, name)) for name in CONFIG_KEYS}
+    return TrainConfig(**{name: kinds[name](values[key]) for name, key in CONFIG_KEYS.items()})
 
 
 def _parse_weight(path, lineno: int, text: str) -> float:
@@ -451,7 +444,7 @@ def load_model(path) -> TrainedModel:
 
     config: TrainConfig | None = None
     final_loss: float | None = None
-    tuples: list[tuple[str, ...]] = []
+    tuple_lines: dict[tuple[str, ...], int] = {}
     weights: list[float] = []
     oov_weight: float | None = None
     in_header = True
@@ -482,15 +475,17 @@ def load_model(path) -> TrainedModel:
                 f"{path}:{lineno}: expected {width} labels and a weight, "
                 f"got {len(parts)} fields"
             )
-        tuples.append(tuple(parts[:-1]))
+        tup = tuple(parts[:-1])
+        if tuple_lines.setdefault(tup, lineno) != lineno:
+            raise ModelFormatError(f"{path}:{lineno}: tuple repeats line {tuple_lines[tup]}")
         weights.append(_parse_weight(path, lineno, parts[-1]))
     if oov_weight is None:
         raise ModelFormatError(f"{path}: truncated model file (missing OOV line)")
-    if len(tuples) != dim - 1:
+    if len(tuple_lines) != dim - 1:
         raise ModelFormatError(
-            f"{path}: header says dim={dim} but file has {len(tuples)} tuples"
+            f"{path}: header says dim={dim} but file has {len(tuple_lines)} tuples"
         )
-    vocab = Vocabulary(shape, tuples)
+    vocab = Vocabulary(shape, tuple_lines)
     model = WeightModel(vocab, np.array(weights + [oov_weight]))
     trace = [final_loss] if final_loss is not None else []
     return TrainedModel(model, config, trace)

@@ -2,8 +2,8 @@
 
 A tree is written recursively as ``label(child,child,...)``, e.g. ``a(b,c)``
 for a root ``a`` with ordered children ``b`` and ``c``. Labels are maximal
-runs of characters excluding ``(``, ``)``, ``,`` and whitespace. The label
-``*`` is reserved for dummy nodes and rejected in input.
+runs of characters excluding ``(``, ``)``, ``,`` and whitespace, and must
+encode as UTF-8. The label ``*`` is reserved for dummy nodes and rejected.
 
 Trees are immutable after construction and safe to share across threads.
 """
@@ -129,6 +129,7 @@ def _check_label(label: str) -> None:
         raise ValueError(f"label {DUMMY!r} is reserved for dummy nodes")
     if any(ch in _DELIMS or ch.isspace() for ch in label):
         raise ValueError(f"label {label!r} contains a delimiter or whitespace")
+    label.encode("utf-8")  # UnicodeEncodeError for a lone surrogate
 
 
 def parse_tree(text: str) -> Tree:

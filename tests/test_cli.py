@@ -1,7 +1,8 @@
 import pytest
 
-from pqgrams.cli import run
+from pqgrams.cli import _config_from_args, build_parser, run
 from pqgrams.datasets import gen_strings, save_tsv
+from pqgrams.lmnn import TrainConfig
 
 
 @pytest.fixture
@@ -133,3 +134,11 @@ def test_bench_runs_pq_and_ted(strings_tsv, capsys):
 
 def test_bench_rejects_unknown_algo(strings_tsv, capsys):
     assert run(["bench", "--data", strings_tsv, "--algos", "pq,magic"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["train", "--data", "x", "--out", "y"], ["knn-eval", "--data", "x", "--setting", "E2"]],
+)
+def test_train_flag_defaults_are_train_config_defaults(argv):
+    assert _config_from_args(build_parser().parse_args(argv)) == TrainConfig()

@@ -162,3 +162,13 @@ def test_random_corpus_labels_round_robin():
     corpus = random_corpus(10, 8, 2, seed=0)
     assert [item.label for item in corpus.items] == [i % 2 for i in range(10)]
     assert all(tree_size(item.tree) == 8 for item in corpus.items)
+
+
+def test_class_names_starting_with_hash_rejected(tmp_path):
+    # load_tsv would read such a line as a comment and drop the item
+    items = [LabeledTree(parse_tree("a"), 0), LabeledTree(parse_tree("b"), 1)]
+    with pytest.raises(ValueError, match="label name"):
+        LabeledCorpus(items, ["#x", "y"])
+    corpus = LabeledCorpus(items, ["x#", "y"])
+    save_tsv(corpus, tmp_path / "c.tsv")
+    assert len(load_tsv(tmp_path / "c.tsv")) == 2

@@ -454,3 +454,35 @@ def test_malformed_loss_and_oov_lines_rejected(tmp_path):
     bad_oov.write_text("pqgram-model v1 p=1 q=2 dim=1\nOOV x\n")
     with pytest.raises(ModelFormatError, match=":2: bad weight"):
         load_model(bad_oov)
+
+
+def test_repeated_tuple_line_rejected_with_line_number(tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_text(
+        "pqgram-model v1 p=1 q=2 dim=3\na\t*\t*\t0.5\na\t*\t*\t0.5\nOOV 0.5\n"
+    )
+    with pytest.raises(ModelFormatError, match=r"m\.txt:3: .*line 2"):
+        load_model(path)
+
+
+def test_save_model_golden_file(tmp_path):
+    vocab = build_vocabulary([parse_tree("a(b,#c)")], S12)
+    w = np.array([W_INIT, 0.1, -2.5, 1e-300, 3.0, 0.5])
+    cfg = TrainConfig(
+        k=2, mu1=4.5, mu2=6.0, beta=0.0, eta=0.001, epochs=7,
+        impostor_refresh_every=3, subsample_cap=40, seed=11,
+    )
+    path = tmp_path / "m.txt"
+    save_model(TrainedModel(WeightModel(vocab, w), cfg, [10.0, 0.1 + 0.2]), path)
+    assert path.read_bytes() == (
+        b"pqgram-model v1 p=1 q=2 dim=6\n"
+        b"# config k=2 mu1=4.5 mu2=6.0 beta=0.0 eta=0.001 epochs=7 refresh=3 cap=40 seed=11\n"
+        b"# loss 0.30000000000000004\n"
+        b"a\t*\tb\t0.541324854612918\n"
+        b"a\tb\t#c\t0.1\n"
+        b"a\t#c\t*\t-2.5\n"
+        b"b\t*\t*\t1e-300\n"
+        b"#c\t*\t*\t3.0\n"
+        b"OOV 0.5\n"
+    )
+    assert load_model(path).config == cfg
