@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from .datasets import gen_strings, load_tsv, save_tsv
-from .grams import GramShape, Vocabulary, extract_grams, multiset_distance, profile
+from .grams import GramShape, extract_grams, multiset_distance, profile
 from .knn import (
     benchmark_inference,
     cross_validate,
@@ -21,7 +21,7 @@ from .knn import (
     weighted_gram_distance,
 )
 from .lmnn import CONFIG_KEYS, TrainConfig, load_model, save_model, train
-from .metric import WeightModel, weighted_distance
+from .metric import weighted_distance
 from .ted import tree_edit_distance
 from .tree import parse_tree
 
@@ -38,9 +38,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_shape_flags(p: argparse.ArgumentParser, default: int | None = 2):
-    p.add_argument("-p", type=int, default=default, help="stem length (default %(default)s)")
-    p.add_argument("-q", type=int, default=default, help="base width (default %(default)s)")
+def _add_shape_flags(p: argparse.ArgumentParser):
+    p.add_argument("-p", type=int, default=2, help="stem length (default %(default)s)")
+    p.add_argument("-q", type=int, default=2, help="base width (default %(default)s)")
 
 
 def _add_train_flags(p: argparse.ArgumentParser):
@@ -114,7 +114,7 @@ def build_parser() -> _Parser:
     p_bench.add_argument("--data", required=True, help="TSV corpus path")
     p_bench.add_argument("--algos", default="pq,ted", help="comma list of pq,wpq,ted")
     p_bench.add_argument("-k", type=int, default=3)
-    p_bench.add_argument("--model", help="model file for wpq (default: fresh weights)")
+    p_bench.add_argument("--model", help="model file (wpq only)")
     p_bench.add_argument("--seed", type=int, default=0, help="train/test split seed")
     p_bench.add_argument("--repeats", type=int, default=3)
     p_bench.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
@@ -139,22 +139,24 @@ def _cmd_grams(args) -> int:
     return 0
 
 
+def _check_model_flag(uses_wpq: bool, model: str | None) -> None:
+    if uses_wpq != bool(model):
+        raise UsageError("--model is required with wpq and applies only to wpq")
+
+
 def _cmd_dist(args) -> int:
+    _check_model_flag(args.algo == "wpq", args.model)
     t1 = parse_tree(args.t1)
     t2 = parse_tree(args.t2)
     if args.algo == "pq":
         shape = GramShape(args.p, args.q)
         print(multiset_distance(extract_grams(t1, shape), extract_grams(t2, shape)))
     elif args.algo == "wpq":
-        if not args.model:
-            raise UsageError("--algo wpq requires --model")
         trained = load_model(args.model)
         vocab = trained.vocab
         d = weighted_distance(trained.model, profile(t1, vocab), profile(t2, vocab))
         print(f"{d:.6f}")
     else:
-        if args.model:
-            raise UsageError("--model only applies to --algo wpq")
         print(f"{tree_edit_distance(t1, t2):.6f}")
     return 0
 
@@ -202,12 +204,13 @@ def _cmd_knn_eval(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    corpus = load_tsv(args.data)
-    shape = GramShape(args.p, args.q)
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
     bad = [a for a in algos if a not in ("pq", "wpq", "ted")]
     if bad:
         raise UsageError(f"unknown algo(s): {','.join(bad)}")
+    _check_model_flag("wpq" in algos, args.model)
+    corpus = load_tsv(args.data)
+    shape = GramShape(args.p, args.q)
     held_out = set(stratified_folds([it.label for it in corpus.items], 5, args.seed)[0])
     train_items = [it for i, it in enumerate(corpus.items) if i not in held_out]
     test_trees = [corpus.items[i].tree for i in sorted(held_out)]
@@ -220,11 +223,7 @@ def _cmd_bench(args) -> int:
         if algo == "pq":
             dist = unweighted_gram_distance(train_trees, shape)
         elif algo == "wpq":
-            if args.model:
-                dist = weighted_gram_distance(load_model(args.model))
-            else:
-                vocab = Vocabulary.from_trees(train_trees, shape)
-                dist = weighted_gram_distance(WeightModel.initial(vocab))
+            dist = weighted_gram_distance(load_model(args.model))
         else:
             dist = edit_distance_baseline()
         result = benchmark_inference(

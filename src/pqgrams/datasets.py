@@ -144,12 +144,11 @@ def random_corpus(
     n_nodes: int,
     n_classes: int,
     seed: int,
-    labels: tuple[str, ...] = ("a", "b", "c", "d"),
 ) -> LabeledCorpus:
     """Random trees with round-robin class labels, for timing studies."""
     rng = random.Random(seed)
     items = [
-        LabeledTree(random_tree(n_nodes, rng, labels), i % n_classes)
+        LabeledTree(random_tree(n_nodes, rng), i % n_classes)
         for i in range(n_trees)
     ]
     return LabeledCorpus(

@@ -165,7 +165,6 @@ class Profile:
     """A tree's gram counts as a sparse vector over a vocabulary."""
 
     vocab: Vocabulary
-    shape: GramShape
     indices: np.ndarray
     counts: np.ndarray
 
@@ -185,9 +184,7 @@ class Profile:
 def _profile_of(vocab: Vocabulary, acc: dict[int, int]) -> Profile:
     idx = sorted(acc)
     vals = [acc[i] for i in idx]
-    return Profile(
-        vocab, vocab.shape, np.array(idx, dtype=np.int64), np.array(vals, dtype=np.int64)
-    )
+    return Profile(vocab, np.array(idx, dtype=np.int64), np.array(vals, dtype=np.int64))
 
 
 def profile(t: Tree, vocab: Vocabulary, shape: GramShape | None = None) -> Profile:

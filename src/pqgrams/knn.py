@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 from .grams import GramShape, Vocabulary, profile
 from .lmnn import LabeledTree, TrainedModel
 from .metric import WeightModel, weighted_distance
-from .ted import EditCostTable, UNIT_COSTS, tree_edit_distance
+from .ted import tree_edit_distance
 from .tree import Tree
 
 
@@ -86,8 +86,8 @@ def unweighted_gram_distance(train_trees: Sequence[Tree], shape: GramShape) -> T
     return dist
 
 
-def edit_distance_baseline(costs: EditCostTable = UNIT_COSTS) -> TreeDistance:
-    return TreeDistance("ted", lambda a, b: tree_edit_distance(a, b, costs))
+def edit_distance_baseline() -> TreeDistance:
+    return TreeDistance("ted", lambda a, b: tree_edit_distance(a, b))
 
 
 def knn_classify(
@@ -101,6 +101,8 @@ def knn_classify(
     Tie ladder: equal distances prefer the lower training index; tied votes
     prefer the nearest neighbor's label, then the smaller class id.
     """
+    if k < 1:
+        raise ValueError("k must be >= 1")
     if not train:
         raise ValueError("empty training set")
     if len(train) < k:
@@ -229,9 +231,8 @@ def cross_validate(
         if name is None:
             name = dist.name
         t0 = time.perf_counter()
-        if isinstance(dist, TreeDistance):
-            dist.prepare([item.tree for item in train_items])
-            dist.prepare([data[i].tree for i in part])
+        dist.prepare([item.tree for item in train_items])
+        dist.prepare([data[i].tree for i in part])
         preds = [knn_classify(train_items, data[i].tree, dist, k) for i in part]
         elapsed = time.perf_counter() - t0
         wrong = sum(1 for i, pred in zip(part, preds) if pred != data[i].label)
@@ -278,6 +279,8 @@ def benchmark_inference(
     """
     if not train or not test:
         raise ValueError("train and test must be non-empty")
+    if repeats < 1:
+        raise ValueError("repeats must be >= 1")
     runs: list[float] = []
     for _ in range(repeats):
         dist.clear_cache()

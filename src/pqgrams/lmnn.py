@@ -96,14 +96,11 @@ def build_targets(
     labels: Sequence[int],
     model: WeightModel,
     k: int,
-    *,
-    counts: np.ndarray | None = None,
 ) -> list[tuple[int, int]]:
     """For each i, pairs to its k nearest same-label points under ``model``.
 
     Distance ties break toward the lower index. Raises if any class has
-    fewer than k+1 members. ``counts`` is ``count_matrix(profiles,
-    model.vocab)`` when the caller already has it.
+    fewer than k+1 members.
     """
     m = len(profiles)
     by_label: dict[int, list[int]] = {}
@@ -114,7 +111,7 @@ def build_targets(
             raise ValueError(
                 f"class {lab} has {len(members)} members, needs at least {k + 1}"
             )
-    X = count_matrix(profiles, model.vocab) if counts is None else counts
+    X = count_matrix(profiles, model.vocab)
     pairs: list[tuple[int, int]] = []
     for i in range(m):
         js = np.array([j for j in by_label[labels[i]] if j != i])
@@ -130,15 +127,12 @@ def find_impostors(
     model: WeightModel,
     targets: Sequence[tuple[int, int]],
     k: int,
-    *,
-    counts: np.ndarray | None = None,
 ) -> list[tuple[int, int]]:
     """Differently-labeled points strictly closer than the k-th target.
 
     One symmetric distance matrix over all points under the current
     ``model`` gives both the radii (the farthest target of each point) and
-    the candidates; the result may be empty. ``counts`` is
-    ``count_matrix(profiles, model.vocab)`` when the caller already has it.
+    the candidates; the result may be empty.
     """
     m = len(profiles)
     target_js: list[list[int]] = [[] for _ in range(m)]
@@ -147,7 +141,7 @@ def find_impostors(
     for i, js in enumerate(target_js):
         if len(js) != k:
             raise ValueError(f"point {i} has {len(js)} targets, expected {k}")
-    X = count_matrix(profiles, model.vocab) if counts is None else counts
+    X = count_matrix(profiles, model.vocab)
     D = symmetric_distances(model, X)
     labels_arr = np.asarray(labels)
     out: list[tuple[int, int]] = []
@@ -342,8 +336,8 @@ def train(
     X = count_matrix(profiles, vocab)
     model = WeightModel.initial(vocab)
 
-    targets = build_targets(profiles, labels, model, cfg.k, counts=X)
-    negatives = find_impostors(profiles, labels, model, targets, cfg.k, counts=X)
+    targets = build_targets(profiles, labels, model, cfg.k)
+    negatives = find_impostors(profiles, labels, model, targets, cfg.k)
     terms = _PairTerms(X, PairSet(targets, negatives))
 
     w = model.w.copy()
@@ -356,7 +350,7 @@ def train(
     for epoch in range(1, cfg.epochs + 1):
         if epoch > 1 and (epoch - 1) % cfg.impostor_refresh_every == 0:
             model = WeightModel(vocab, w)
-            negatives = find_impostors(profiles, labels, model, targets, cfg.k, counts=X)
+            negatives = find_impostors(profiles, labels, model, targets, cfg.k)
             terms = _PairTerms(X, PairSet(targets, negatives))
             d = terms.distances(w)
         g = terms.gradient(w, d, cfg)

@@ -43,6 +43,7 @@ def test_usage_errors_exit_1(capsys):
     assert run(["no-such-command"]) == 1
     assert run(["dist", "--algo", "wpq", "--t1", "a", "--t2", "b"]) == 1  # missing --model
     assert run(["dist", "--algo", "ted", "--model", "x", "--t1", "a", "--t2", "b"]) == 1
+    assert run(["dist", "--algo", "pq", "--model", "x", "--t1", "a", "--t2", "b"]) == 1
 
 
 def test_parse_errors_exit_2(capsys):
@@ -130,6 +131,23 @@ def test_bench_runs_pq_and_ted(strings_tsv, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "pq(p=2,q=2)" in out and "ted" in out
+
+
+def test_bench_model_goes_with_wpq_only(tmp_path, strings_tsv, capsys):
+    model_path = str(tmp_path / "model.txt")
+    assert run(["train", "--data", strings_tsv, "-k", "1", "--epochs", "5",
+                "--out", model_path]) == 0
+    base = ["bench", "--data", strings_tsv, "-k", "1", "--repeats", "1"]
+    assert run(base + ["--algos", "wpq"]) == 1
+    assert run(base + ["--algos", "pq", "--model", model_path]) == 1
+    capsys.readouterr()
+    assert run(base + ["--algos", "pq,wpq", "--model", model_path]) == 0
+    out = capsys.readouterr().out
+    assert "pq(p=2,q=2)" in out and "wpq(p=2,q=2)" in out
+
+
+def test_knn_eval_rejects_k_below_1(strings_tsv, capsys):
+    assert run(["knn-eval", "--data", strings_tsv, "--setting", "E1", "-k", "-1"]) == 2
 
 
 def test_bench_rejects_unknown_algo(strings_tsv, capsys):

@@ -72,6 +72,10 @@ def test_knn_error_cases():
         knn_classify([], parse_tree("a"), dist, k=1)
     with pytest.raises(ValueError):
         knn_classify(data, parse_tree("a"), dist, k=3)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        knn_classify(data, parse_tree("a"), dist, k=0)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        knn_classify(data, parse_tree("a"), dist, k=-1)
 
 
 def test_prediction_invariant_under_distance_rescaling():
@@ -184,6 +188,8 @@ def test_benchmark_rejects_empty_inputs():
         benchmark_inference([], [data[0].tree], pq_dist_for(data), 1)
     with pytest.raises(ValueError):
         benchmark_inference(data, [], pq_dist_for(data), 1)
+    with pytest.raises(ValueError, match="repeats"):
+        benchmark_inference(data, [data[0].tree], pq_dist_for(data), 1, repeats=0)
 
 
 def test_edit_distance_baseline_plugs_in():
