@@ -20,7 +20,7 @@ from .knn import (
     unweighted_gram_distance,
     weighted_gram_distance,
 )
-from .lmnn import CONFIG_KEYS, TrainConfig, load_model, save_model, train
+from .lmnn import CONFIG_KEYS, TrainConfig, TrainedModel, load_model, save_model, train
 from .metric import weighted_distance
 from .ted import tree_edit_distance
 from .tree import parse_tree
@@ -144,6 +144,18 @@ def _check_model_flag(uses_wpq: bool, model: str | None) -> None:
         raise UsageError("--model is required with wpq and applies only to wpq")
 
 
+def _load_model_of_shape(path: str, shape: GramShape) -> TrainedModel:
+    """The model in ``path``, which must have been trained at ``shape``."""
+    trained = load_model(path)
+    have = trained.vocab.shape
+    if have != shape:
+        raise ValueError(
+            f"{path}: model has p={have.p}, q={have.q}, "
+            f"but -p {shape.p} -q {shape.q} was given"
+        )
+    return trained
+
+
 def _cmd_dist(args) -> int:
     _check_model_flag(args.algo == "wpq", args.model)
     t1 = parse_tree(args.t1)
@@ -152,7 +164,7 @@ def _cmd_dist(args) -> int:
         shape = GramShape(args.p, args.q)
         print(multiset_distance(extract_grams(t1, shape), extract_grams(t2, shape)))
     elif args.algo == "wpq":
-        trained = load_model(args.model)
+        trained = _load_model_of_shape(args.model, GramShape(args.p, args.q))
         vocab = trained.vocab
         d = weighted_distance(trained.model, profile(t1, vocab), profile(t2, vocab))
         print(f"{d:.6f}")
@@ -209,8 +221,9 @@ def _cmd_bench(args) -> int:
     if bad:
         raise UsageError(f"unknown algo(s): {','.join(bad)}")
     _check_model_flag("wpq" in algos, args.model)
-    corpus = load_tsv(args.data)
     shape = GramShape(args.p, args.q)
+    trained = _load_model_of_shape(args.model, shape) if args.model else None
+    corpus = load_tsv(args.data)
     held_out = set(stratified_folds([it.label for it in corpus.items], 5, args.seed)[0])
     train_items = [it for i, it in enumerate(corpus.items) if i not in held_out]
     test_trees = [corpus.items[i].tree for i in sorted(held_out)]
@@ -223,7 +236,7 @@ def _cmd_bench(args) -> int:
         if algo == "pq":
             dist = unweighted_gram_distance(train_trees, shape)
         elif algo == "wpq":
-            dist = weighted_gram_distance(load_model(args.model))
+            dist = weighted_gram_distance(trained)
         else:
             dist = edit_distance_baseline()
         result = benchmark_inference(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -193,12 +194,18 @@ def profile(t: Tree, vocab: Vocabulary, shape: GramShape | None = None) -> Profi
         shape = vocab.shape
     elif shape != vocab.shape:
         raise ValueError(f"shape {shape} does not match vocabulary shape {vocab.shape}")
-    acc: dict[int, int] = {}
-    ids, oov = vocab._ids, vocab.oov_id
-    for tup, c in extract_grams(t, shape).items():
-        i = ids.get(tup, oov)
-        acc[i] = acc.get(i, 0) + c
-    return _profile_of(vocab, acc)
+    grams = extract_grams(t, shape)
+    oov = vocab.oov_id
+    ids = np.fromiter(map(vocab._ids.get, grams, repeat(oov)), np.int64, len(grams))
+    counts = np.fromiter(grams.values(), np.int64, len(grams))
+    order = np.argsort(ids)
+    ids, counts = ids[order], counts[order]
+    # tuples are distinct, so only the OOV slot (the largest id) can repeat
+    first_oov = int(np.searchsorted(ids, oov))
+    if first_oov < len(ids) - 1:
+        ids = ids[: first_oov + 1]
+        counts = np.append(counts[:first_oov], counts[first_oov:].sum())
+    return Profile(vocab, ids, counts)
 
 
 def encode_trees(

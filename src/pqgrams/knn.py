@@ -13,11 +13,18 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .grams import GramShape, Vocabulary, profile
+import numpy as np
+
+from .grams import GramShape, Vocabulary, count_matrix, profile
 from .lmnn import LabeledTree, TrainedModel
-from .metric import WeightModel, weighted_distance
+from .metric import WeightModel, row_distances, weighted_distance
 from .ted import tree_edit_distance
 from .tree import Tree
+
+
+# bytes of the float64 block that one query's reference rows are scattered
+# into, so k-NN memory stays bounded whatever the references and vocabulary
+_BLOCK_BYTES = 1 << 20
 
 
 class TreeDistance:
@@ -27,6 +34,10 @@ class TreeDistance:
     benchmark can charge encoding to the measured pipeline; ``__call__``
     encodes lazily on cache misses. Encoded values are cached per tree
     object identity, which is safe because trees are immutable.
+
+    ``knn_classify`` calls a plain ``TreeDistance`` once per (reference,
+    query) pair; a :class:`GramDistance` gives it all of one query's
+    reference distances in one call.
     """
 
     def __init__(
@@ -66,18 +77,73 @@ class TreeDistance:
         return self._pair_fn(self._encode(t1), self._encode(t2))
 
 
-def weighted_gram_distance(model: WeightModel | TrainedModel) -> TreeDistance:
+class GramDistance(TreeDistance):
+    """Weighted gram distance of one model, over cached gram profiles.
+
+    ``query_distances`` gives one query's distances to a whole reference
+    list through the kernel's row reduction, each bit for bit the pair call
+    ``self(ref, query)``. The reference profiles stay sparse; per query,
+    they are scattered a block of rows at a time into one dense buffer of
+    at most ``_BLOCK_BYTES``. The last reference list is kept, keyed on its
+    trees' identities (which the encoding cache keeps alive).
+    """
+
+    def __init__(self, name: str, model: WeightModel):
+        super().__init__(
+            name,
+            lambda x, y: weighted_distance(model, x, y),
+            encoder=lambda t: profile(t, model.vocab),
+        )
+        self.model = model
+        self._refs: tuple[tuple[int, ...], list] | None = None
+
+    def clear_cache(self) -> None:
+        super().clear_cache()
+        self._refs = None
+
+    def _blocks(self, refs: Sequence[Tree]) -> list:
+        """(lo, hi, positions, counts) per block of reference rows, with each
+        count's flat position in the block buffer."""
+        key = tuple(map(id, refs))
+        if self._refs is None or self._refs[0] != key:
+            dim = self.model.dim
+            step = max(1, _BLOCK_BYTES // (8 * dim))
+            profs = [self._encode(t) for t in refs]
+            blocks = []
+            for lo in range(0, len(profs), step):
+                part = profs[lo : lo + step]
+                pos = np.concatenate([r * dim + p.indices for r, p in enumerate(part)])
+                vals = np.concatenate([p.counts for p in part]).astype(np.float64)
+                blocks.append((lo, lo + len(part), pos, vals))
+            self._refs = (key, blocks)
+        return self._refs[1]
+
+    def query_distances(self, refs: Sequence[Tree], query: Tree) -> np.ndarray:
+        """``[self(r, query) for r in refs]`` as an array, in one call."""
+        out = np.empty(len(refs))
+        if not refs:
+            return out
+        blocks = self._blocks(refs)
+        x = count_matrix([self._encode(query)], self.model.vocab)[0]
+        eff = self.model.effective_weights()
+        buf = np.empty((blocks[0][1], self.model.dim))
+        flat = buf.reshape(-1)
+        for lo, hi, pos, vals in blocks:
+            block = buf[: hi - lo]
+            block.fill(0.0)
+            flat[pos] = vals
+            out[lo:hi] = row_distances(x, block, eff, block)
+        return out
+
+
+def weighted_gram_distance(model: WeightModel | TrainedModel) -> GramDistance:
     """Learned weighted gram distance of a trained (or initial) model."""
     wm = model.model if isinstance(model, TrainedModel) else model
     shape = wm.shape
-    return TreeDistance(
-        f"wpq(p={shape.p},q={shape.q})",
-        lambda x, y: weighted_distance(wm, x, y),
-        encoder=lambda t: profile(t, wm.vocab),
-    )
+    return GramDistance(f"wpq(p={shape.p},q={shape.q})", wm)
 
 
-def unweighted_gram_distance(train_trees: Sequence[Tree], shape: GramShape) -> TreeDistance:
+def unweighted_gram_distance(train_trees: Sequence[Tree], shape: GramShape) -> GramDistance:
     """Plain gram distance over a vocabulary built from the training trees:
     the weighted distance at initial weights, which equals it exactly."""
     vocab = Vocabulary.from_trees(train_trees, shape)
@@ -98,6 +164,10 @@ def knn_classify(
 ) -> int:
     """Majority label of the k nearest training points.
 
+    A :class:`GramDistance` gives all of the query's distances in one
+    ``query_distances`` call; any other distance is called once per
+    (training tree, query) pair. Both give the same numbers.
+
     Tie ladder: equal distances prefer the lower training index; tied votes
     prefer the nearest neighbor's label, then the smaller class id.
     """
@@ -107,18 +177,21 @@ def knn_classify(
         raise ValueError("empty training set")
     if len(train) < k:
         raise ValueError(f"need at least k={k} training points, have {len(train)}")
-    scored = sorted(
-        ((dist(item.tree, query), i) for i, item in enumerate(train)),
-    )[:k]
+    if isinstance(dist, GramDistance):
+        d = dist.query_distances([item.tree for item in train], query)
+    else:
+        d = [dist(item.tree, query) for item in train]
+    # a stable sort keeps equal distances in training order
+    nearest = np.argsort(d, kind="stable")[:k].tolist()
     votes: dict[int, int] = {}
-    for _, i in scored:
+    for i in nearest:
         lab = train[i].label
         votes[lab] = votes.get(lab, 0) + 1
     top = max(votes.values())
     winners = [lab for lab, c in votes.items() if c == top]
     if len(winners) == 1:
         return winners[0]
-    nearest_label = train[scored[0][1]].label
+    nearest_label = train[nearest[0]].label
     if nearest_label in winners:
         return nearest_label
     return min(winners)
@@ -207,7 +280,10 @@ def cross_validate(
 
     ``dist_builder`` receives each fold's training items (where any metric
     learning happens) and returns the distance used to classify that fold.
-    Timed inference covers encoding plus classification, not training.
+    Each query goes through ``knn_classify``, so a gram distance scores it
+    against the whole training fold in one call and any other distance
+    pair by pair. Timed inference covers encoding plus classification, not
+    training.
     ``threads`` has no effect: queries are classified serially, which
     measured faster than a thread pool under the interpreter lock.
     """
@@ -273,9 +349,11 @@ def benchmark_inference(
     threads: int = 1,
 ) -> BenchResult:
     """Time the full inference pipeline: encoding, all train x test
-    distances, and the majority votes. Repeated ``repeats`` times from a
-    cold cache, single-threaded so ratios reflect algorithmic cost rather
-    than core count; ``threads`` has no effect.
+    distances, and the majority votes. Each test tree goes through
+    ``knn_classify``: a gram distance scores it against all of ``train`` in
+    one call, any other distance pair by pair. Repeated ``repeats`` times
+    from a cold cache, single-threaded so ratios reflect algorithmic cost
+    rather than core count; ``threads`` has no effect.
     """
     if not train or not test:
         raise ValueError("train and test must be non-empty")

@@ -6,10 +6,12 @@ effective weights strictly positive, so the distance stays a pseudo-metric
 (distinct trees may still sit at distance zero) for any finite parameters.
 
 Every weighted distance, from one pair to a whole training set, comes out of
-one kernel over dense count rows (``pairwise_distances``). Each entry is the
-sum over one full row of ``softplus(w) * |a - b|``, reduced the same way
-whatever the block shape, so a 1x1 call, a row, and a symmetric matrix agree
-bit for bit; training and k-NN therefore see identical distances and ties.
+one kernel over dense count rows (``row_distances``, behind
+``pairwise_distances``; k-NN feeds it blocks of reference rows). Each entry
+is the sum over one full row of ``softplus(w) * |a - b|``, reduced the same
+way whatever the block shape, so a 1x1 call, a row, a reference block and a
+symmetric matrix agree bit for bit; training and k-NN therefore see
+identical distances and ties.
 """
 
 from __future__ import annotations
@@ -92,9 +94,11 @@ def pq_distance(x: Profile, y: Profile) -> int:
     return sym_diff(x, y).total()
 
 
-def _row_distances(
+def row_distances(
     row: np.ndarray, B: np.ndarray, eff: np.ndarray, buf: np.ndarray
 ) -> np.ndarray:
+    """The kernel's reduction: sum_i eff_i * |B[b, i] - row_i| for each row of
+    ``B``, worked in ``buf`` (which may be ``B`` itself)."""
     # one reduction per row of B over its full, contiguous length: the value
     # for a pair depends on its two rows only, never on the block around them
     out = buf[: len(B)]
@@ -115,7 +119,7 @@ def pairwise_distances(model: WeightModel, A: np.ndarray, B: np.ndarray) -> np.n
     D = np.empty((len(A), len(B)))
     buf = np.empty((len(B), model.dim))
     for a, row in enumerate(A):
-        D[a] = _row_distances(row, B, eff, buf)
+        D[a] = row_distances(row, B, eff, buf)
     return D
 
 
@@ -126,7 +130,7 @@ def symmetric_distances(model: WeightModel, X: np.ndarray) -> np.ndarray:
     D = np.zeros((m, m))
     buf = np.empty((m, model.dim))
     for a in range(m - 1):
-        D[a, a + 1 :] = _row_distances(X[a], X[a + 1 :], eff, buf)
+        D[a, a + 1 :] = row_distances(X[a], X[a + 1 :], eff, buf)
     # adding the zero lower triangle is exact: the mirror is bit for bit
     return D + D.T
 

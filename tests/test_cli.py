@@ -160,3 +160,22 @@ def test_bench_rejects_unknown_algo(strings_tsv, capsys):
 )
 def test_train_flag_defaults_are_train_config_defaults(argv):
     assert _config_from_args(build_parser().parse_args(argv)) == TrainConfig()
+
+
+@pytest.mark.parametrize("command", ["dist", "bench"])
+def test_wpq_shape_flags_must_match_the_model(tmp_path, strings_tsv, capsys, command):
+    model_path = str(tmp_path / "model.txt")
+    assert run(["train", "--data", strings_tsv, "-k", "1", "--epochs", "5",
+                "--out", model_path]) == 0
+    if command == "dist":
+        base = ["dist", "--algo", "wpq", "--t1", "a(b,c)", "--t2", "a(c,b)"]
+    else:
+        base = ["bench", "--data", strings_tsv, "--algos", "pq,wpq", "-k", "1",
+                "--repeats", "1"]
+    base += ["--model", model_path]
+    capsys.readouterr()
+    assert run(base + ["-p", "1", "-q", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert "p=2, q=2" in err and "-p 1 -q 1" in err
+    assert "pq(" not in out  # nothing was timed
+    assert run(base + ["-p", "2", "-q", "2"]) == 0

@@ -1,9 +1,12 @@
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
 
-from pqgrams.datasets import gen_strings
-from pqgrams.grams import GramShape
+from pqgrams import knn
+from pqgrams.datasets import gen_strings, random_tree
+from pqgrams.grams import GramShape, Vocabulary, profile
 from pqgrams.knn import (
     TreeDistance,
     benchmark_inference,
@@ -15,7 +18,8 @@ from pqgrams.knn import (
     weighted_gram_distance,
 )
 from pqgrams.lmnn import LabeledTree, TrainConfig, train
-from pqgrams.tree import parse_tree
+from pqgrams.metric import W_INIT, WeightModel
+from pqgrams.tree import parse_tree, serialize_tree
 
 from conftest import random_tree_raw
 
@@ -197,3 +201,68 @@ def test_edit_distance_baseline_plugs_in():
     report = cross_validate(data, lambda tr: edit_distance_baseline(), k=1, folds=2, seed=0)
     assert report.mean_error == 0.0
     assert report.dist_name == "ted"
+
+
+def ladder(dists, labels, k):
+    """The documented vote, spelled out: nearest k by (distance, index); tied
+    votes go to the nearest neighbor's label, then to the smaller class id."""
+    nearest = sorted(range(len(dists)), key=lambda i: (dists[i], i))[:k]
+    votes = Counter(labels[i] for i in nearest)
+    top = max(votes.values())
+    winners = [lab for lab, c in votes.items() if c == top]
+    if len(winners) == 1:
+        return winners[0]
+    first = labels[nearest[0]]
+    return first if first in winners else min(winners)
+
+
+def test_batched_distances_match_pair_calls_bit_for_bit():
+    rng = random.Random(8)
+    unique = [random_tree(80, rng, tuple("abcdefgh")) for _ in range(60)]
+    # the same tree object twice and an equal copy, under other labels, so
+    # distances tie and the lower index must win
+    trees = unique + unique[:8] + [parse_tree(serialize_tree(t)) for t in unique[:4]]
+    data = [LabeledTree(t, i % 3) for i, t in enumerate(trees)]
+    trained = train(data[:60], S22, TrainConfig(k=1, epochs=30, seed=1))
+    assert np.any(trained.model.w != W_INIT)
+    vocab = trained.vocab
+    assert len(trees) * vocab.dim * 8 > knn._BLOCK_BYTES  # several blocks
+    dist = weighted_gram_distance(trained)
+    labels = [it.label for it in data]
+    queries = [random_tree(80, rng, tuple("abcdefghz")) for _ in range(6)] + trees[:3]
+    assert all(vocab.oov_id in profile(q, vocab).indices for q in queries[:6])
+    for q in queries:
+        pairs = [dist(t, q) for t in trees]
+        batched = dist.query_distances(trees, q)
+        assert batched.tobytes() == np.array(pairs).tobytes()
+        for k in (1, 2, 3, 4):
+            assert knn_classify(data, q, dist, k) == ladder(pairs, labels, k)
+
+
+def test_reference_cache_follows_the_reference_list():
+    data = gen_strings(12, seed=3).items
+    vocab = Vocabulary.from_trees([it.tree for it in data], S22)
+    model = WeightModel(vocab, np.random.default_rng(5).normal(0.0, 2.0, vocab.dim))
+    queries = [it.tree for it in data[::5]] + [parse_tree("a(b(c),z)")]
+    dist = weighted_gram_distance(model)
+
+    def agrees_with_fresh(refs):
+        fresh = weighted_gram_distance(model)
+        trees = [it.tree for it in refs]
+        for q in queries:
+            got = dist.query_distances(trees, q)
+            assert got.tobytes() == fresh.query_distances(trees, q).tobytes()
+            assert knn_classify(refs, q, dist, 3) == knn_classify(refs, q, fresh, 3)
+
+    first, second = data[:12], data[12:]
+    agrees_with_fresh(first)
+    agrees_with_fresh(second)
+    agrees_with_fresh(first)
+    refs = list(first)
+    agrees_with_fresh(refs)
+    refs[0], refs[-1] = second[0], second[-1]
+    agrees_with_fresh(refs)
+    refs.append(second[3])
+    agrees_with_fresh(refs)
+    dist.clear_cache()
+    agrees_with_fresh(refs)
