@@ -4,8 +4,9 @@ A pq-gram of a tree is a pattern of p stem nodes (an ancestor chain) and q
 consecutive-sibling base nodes, read off the tree after conceptually padding
 it with dummy ``*`` nodes: p-1 above the root, q-1 on each flank of a
 non-leaf's child list, and q below each leaf. Extraction here never builds
-that padded tree; it slides a p-deep stem register and a q-wide base window
-over the original tree in one traversal.
+that padded tree; it reads the tree's preorder label and subtree-size arrays
+once, carrying a p-deep stem from each node to its children and sliding a
+q-wide base window over each child list.
 """
 
 from __future__ import annotations
@@ -39,46 +40,42 @@ def extract_grams(t: Tree, shape: GramShape) -> Counter[LabelTuple]:
 
     Every node anchors windows: a leaf yields one all-dummy base window,
     a node with c children yields c+q-1 windows over its dummy-flanked
-    child list. Single traversal, O(n*q) work.
+    child list. One pass over the preorder arrays, O(n*q) work.
     """
     p, q = shape.p, shape.q
-    nodes = t.nodes
+    labels, sizes = t.labels, t.sizes
     flank = (DUMMY,) * (q - 1)
     leaf_base = (DUMMY,) * q
     out: list[LabelTuple] = []
     append = out.append
-    # preorder; each entry carries its node's stem (the last p labels of
-    # the root path, dummy-padded above the root)
-    stack = [(t.root, (DUMMY,) * (p - 1) + (nodes[t.root].label,))]
-    push = stack.append
-    while stack:
-        nid, stem = stack.pop()
-        ch = nodes[nid].children
-        if not ch:
+    # stems[i]: the last p labels of node i's root path, dummy-padded above
+    # the root; a parent comes before its children, so it sets theirs
+    stems: list[LabelTuple] = [()] * len(labels)
+    stems[0] = (DUMMY,) * (p - 1) + (labels[0],)
+    for i, size in enumerate(sizes):
+        stem = stems[i]
+        if size == 1:
             append(stem + leaf_base)
             continue
         tail = stem[1:]
-        labels = []
-        for c in reversed(ch):
-            label = nodes[c].label
-            labels.append(label)
-            push((c, tail + (label,)))
-        labels.reverse()
-        ext = flank + tuple(labels) + flank
-        for i in range(len(ch) + q - 1):
-            append(stem + ext[i : i + q])
+        kids = []
+        j, end = i + 1, i + size
+        while j < end:
+            label = labels[j]
+            kids.append(label)
+            stems[j] = tail + (label,)
+            j += sizes[j]
+        ext = flank + tuple(kids) + flank
+        for k in range(len(kids) + q - 1):
+            append(stem + ext[k : k + q])
     # Counter keeps first-occurrence order, which vocabularies rely on
     return Counter(out)
 
 
 def gram_count(t: Tree, shape: GramShape) -> int:
     """Total gram multiplicity: 1 per leaf, c+q-1 per node with c children."""
-    q = shape.q
-    total = 0
-    for node in t.nodes:
-        c = len(node.children)
-        total += 1 if c == 0 else c + q - 1
-    return total
+    n, leaves = len(t.sizes), t.sizes.count(1)
+    return leaves + (n - 1) + (shape.q - 1) * (n - leaves)
 
 
 class Vocabulary:

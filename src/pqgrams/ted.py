@@ -2,8 +2,10 @@
 
 Classical keyroot decomposition over postorder-numbered nodes: every pair
 of keyroots spawns one forest dynamic program, and subtree distances feed
-larger subproblems. Exact but cubic-class in the worst case, which is the
-point of using it as the slow baseline.
+larger subproblems. Postorder numbers, leftmost leaves and keyroots are
+read off the tree's preorder label and subtree-size arrays in one pass.
+Exact but cubic-class in the worst case, which is the point of using it as
+the slow baseline.
 """
 
 from __future__ import annotations
@@ -37,29 +39,29 @@ UNIT_COSTS = EditCostTable()
 def _annotate(t: Tree) -> tuple[list[str], list[int], list[int]]:
     """Postorder labels, leftmost-leaf index per node, and keyroots.
 
-    A keyroot is the highest node among those sharing a leftmost leaf;
-    forest distances only need to be seeded at keyroot pairs.
+    Preorder node ``i`` at depth ``d`` has postorder number
+    ``i - d + sizes[i] - 1`` and its leftmost leaf has ``i - d``. Keyroots,
+    the highest nodes sharing a leftmost leaf, are the root and every node
+    whose preorder predecessor is a leaf (it has a left sibling); forest
+    distances only need to be seeded at keyroot pairs, in postorder.
     """
-    order: list[int] = []
-    stack: list[tuple[int, bool]] = [(t.root, False)]
-    while stack:
-        nid, leaving = stack.pop()
-        if leaving:
-            order.append(nid)
-            continue
-        stack.append((nid, True))
-        for c in reversed(t.nodes[nid].children):
-            stack.append((c, False))
-    post_of = {nid: i for i, nid in enumerate(order)}
-    labels = [t.nodes[nid].label for nid in order]
-    lml = [0] * len(order)
-    for i, nid in enumerate(order):
-        ch = t.nodes[nid].children
-        lml[i] = i if not ch else lml[post_of[ch[0]]]
-    last_with_lml: dict[int, int] = {}
-    for i, l in enumerate(lml):
-        last_with_lml[l] = i
-    keyroots = sorted(last_with_lml.values())
+    sizes = t.sizes
+    n = len(sizes)
+    labels = [""] * n
+    lml = [0] * n
+    keyroots = [n - 1]
+    ends: list[int] = []  # subtree ends of the ancestors, innermost last
+    for i, size in enumerate(sizes):
+        while ends and ends[-1] <= i:
+            ends.pop()
+        left = i - len(ends)
+        post = left + size - 1
+        labels[post] = t.labels[i]
+        lml[post] = left
+        if i and sizes[i - 1] == 1:
+            keyroots.append(post)
+        ends.append(i + size)
+    keyroots.sort()
     return labels, lml, keyroots
 
 

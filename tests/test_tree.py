@@ -63,6 +63,9 @@ def test_tree_size_chain():
         ("a b", "trailing garbage", 2),
         ("a,b", "trailing garbage", 1),
         ("a(b c)", "expected ',' or ')'", 4),
+        ("a(b)(c)", "trailing garbage", 4),
+        ("a(b(c)(d))", "expected ',' or ')'", 6),
+        ("a(b,\udcff)", "UTF-8", 4),
     ],
 )
 def test_parse_errors(text, fragment, pos):
@@ -103,6 +106,16 @@ def test_structural_equality_ignores_node_numbering():
     right = Tree([Node("c"), Node("a", (2, 0)), Node("b")], root=1)
     assert left == right
     assert hash(left) == hash(right)
+
+
+@given(trees(max_nodes=12), trees(max_nodes=12))
+def test_identity_is_structure(a, b):
+    assert (a == b) == (serialize_tree(a) == serialize_tree(b))
+    if a == b:
+        assert hash(a) == hash(b)
+    for t in (a, b):
+        assert Tree(t.nodes) == t
+        assert list(t.preorder()) == list(range(len(t)))
 
 
 @given(trees(max_nodes=20))
