@@ -1,17 +1,31 @@
 """Exact tree edit distance (insert / delete / relabel, ordered trees).
 
-Classical keyroot decomposition over postorder-numbered nodes: every pair
-of keyroots spawns one forest dynamic program, and subtree distances feed
-larger subproblems. Postorder numbers, leftmost leaves and keyroots are
+Zhang–Shasha keyroot decomposition over postorder-numbered nodes: every
+pair of keyroots spawns one forest dynamic program, and subtree distances
+feed larger subproblems. Postorder numbers, leftmost leaves and keyroots are
 read off the tree's preorder label and subtree-size arrays in one pass.
-Exact but cubic-class in the worst case, which is the point of using it as
-the slow baseline.
+
+A tree's left cost sums the subtree sizes over its root and every node that
+is not a first child; its right cost does so over the root and every node
+that is not a last child. The left (leftmost-path) decomposition of a pair
+fills ``L1 * L2`` forest cells, the right one ``R1 * R2``. A pair runs on
+the right one iff that is strictly cheaper, as the left algorithm on both
+mirror images, which are as far apart. The rule is symmetric, so
+``d(x, y) == d(y, x)`` exactly. This is the first step of RTED (Pawlik &
+Augsten, PVLDB 2011), without its heavy paths. All keyroot pairs share one
+forest table: the border is the same cumulative sums for each pair, and
+each pair writes every interior cell it reads before reading it.
+
+The left decomposition is bit for bit the textbook recurrence. The right
+one adds the same costs in another order, so it is exact whenever partial
+sums are, as for unit and dyadic costs. Exact but cubic-class in the worst
+case, which is the point of using it as the slow baseline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple, Sequence
 
 from .tree import Tree
 
@@ -22,98 +36,130 @@ def unit_relabel(a: str, b: str) -> float:
 
 @dataclass(frozen=True)
 class EditCostTable:
-    """Node edit costs; relabel(a, a) must be 0 and all costs non-negative."""
+    """Node edit costs; relabel(a, a) must be 0 and all costs non-negative.
+
+    An infinite cost forbids the operation; NaN is rejected.
+    """
 
     insert: float = 1.0
     delete: float = 1.0
     relabel: Callable[[str, str], float] = unit_relabel
 
     def __post_init__(self):
-        if self.insert < 0 or self.delete < 0:
-            raise ValueError("insert/delete costs must be non-negative")
+        if not (self.insert >= 0 and self.delete >= 0):
+            raise ValueError("insert/delete costs must be non-negative numbers")
 
 
 UNIT_COSTS = EditCostTable()
 
 
-def _annotate(t: Tree) -> tuple[list[str], list[int], list[int]]:
-    """Postorder labels, leftmost-leaf index per node, and keyroots.
+class _Postorder(NamedTuple):
+    labels: list[str]
+    lml: list[int]  # leftmost leaf per node
+    keyroots: list[int]
+    sizes: list[int]
+    left_cost: int
+    right_cost: int
+
+
+def _annotate(labels: Sequence[str], sizes: Sequence[int]) -> _Postorder:
+    """The postorder view of the tree with preorder ``labels`` and ``sizes``.
 
     Preorder node ``i`` at depth ``d`` has postorder number
     ``i - d + sizes[i] - 1`` and its leftmost leaf has ``i - d``. Keyroots,
     the highest nodes sharing a leftmost leaf, are the root and every node
     whose preorder predecessor is a leaf (it has a left sibling); forest
-    distances only need to be seeded at keyroot pairs, in postorder.
+    distances only need to be seeded at keyroot pairs, in postorder. Node
+    ``i`` has a right sibling iff its subtree ends before its parent's.
     """
-    sizes = t.sizes
     n = len(sizes)
-    labels = [""] * n
+    post_labels = [""] * n
+    post_sizes = [0] * n
     lml = [0] * n
     keyroots = [n - 1]
+    left_cost = right_cost = n
     ends: list[int] = []  # subtree ends of the ancestors, innermost last
     for i, size in enumerate(sizes):
         while ends and ends[-1] <= i:
             ends.pop()
-        left = i - len(ends)
-        post = left + size - 1
-        labels[post] = t.labels[i]
-        lml[post] = left
+        leaf = i - len(ends)
+        post = leaf + size - 1
+        post_labels[post] = labels[i]
+        post_sizes[post] = size
+        lml[post] = leaf
         if i and sizes[i - 1] == 1:
             keyroots.append(post)
+            left_cost += size
+        if i and i + size < ends[-1]:
+            right_cost += size
         ends.append(i + size)
     keyroots.sort()
-    return labels, lml, keyroots
+    return _Postorder(post_labels, lml, keyroots, post_sizes, left_cost, right_cost)
 
 
 def tree_edit_distance(
     t1: Tree, t2: Tree, costs: EditCostTable = UNIT_COSTS
 ) -> float:
     """Minimum total cost of an edit script turning ``t1`` into ``t2``."""
-    labels1, lml1, kr1 = _annotate(t1)
-    labels2, lml2, kr2 = _annotate(t2)
+    a1 = _annotate(t1.labels, t1.sizes)
+    a2 = _annotate(t2.labels, t2.sizes)
+    if a1.right_cost * a2.right_cost < a1.left_cost * a2.left_cost:
+        # a mirror image's preorder is the reversed postorder
+        a1 = _annotate(a1.labels[::-1], a1.sizes[::-1])
+        a2 = _annotate(a2.labels[::-1], a2.sizes[::-1])
+    labels1, lml1, labels2, lml2 = a1.labels, a1.lml, a2.labels, a2.lml
     n1, n2 = len(labels1), len(labels2)
     cdel, cins, crel = costs.delete, costs.insert, costs.relabel
 
     treedist = [[0.0] * n2 for _ in range(n1)]
+    # fd[x][y]: the first x nodes of keyroot i's subtree against the first y
+    # of keyroot j's, in postorder
+    fd = [[0.0] * (n2 + 1) for _ in range(n1 + 1)]
+    for x in range(1, n1 + 1):
+        fd[x][0] = fd[x - 1][0] + cdel
+    for y in range(1, n2 + 1):
+        fd[0][y] = fd[0][y - 1] + cins
 
-    for i in kr1:
+    # per keyroot j and column y, node c = y + lj - 1: the column py left of
+    # c's subtree, and whether c is on j's leftmost path (py == 0)
+    cols = []
+    for j in a2.keyroots:
+        lj = lml2[j]
+        span = range(lj, j + 1)
+        ycs = list(zip(range(1, len(span) + 1), [lml2[c] - lj for c in span], span))
+        cols.append((ycs, [(y, py, c, py == 0, labels2[c]) for y, py, c in ycs]))
+
+    for i in a1.keyroots:
         li = lml1[i]
-        ioff = li - 1
-        m = i - li + 2
-        for j in kr2:
-            lj = lml2[j]
-            joff = lj - 1
-            n = j - lj + 2
-
-            fd = [[0.0] * n for _ in range(m)]
-            for x in range(1, m):
-                fd[x][0] = fd[x - 1][0] + cdel
-            row0 = fd[0]
-            for y in range(1, n):
-                row0[y] = row0[y - 1] + cins
-            for x in range(1, m):
-                row = fd[x]
-                prev = fd[x - 1]
-                lml1_x = lml1[x + ioff]
-                lab1 = labels1[x + ioff]
-                td_row = treedist[x + ioff]
-                for y in range(1, n):
-                    if li == lml1_x and lj == lml2[y + joff]:
+        # per row x, node s = x + li - 1: its row, the row above, and the row
+        # left of s's subtree, which is row 0 iff s is on i's leftmost path
+        rows = [
+            (fd[s - li + 1], fd[s - li], fd[lml1[s] - li], lml1[s] == li, labels1[s], treedist[s])
+            for s in range(li, i + 1)
+        ]
+        for ycs, on_cols in cols:
+            for row, prev, fpx, on_path, lab1, td_row in rows:
+                left = row[0]
+                if not on_path:
+                    for y, py, c in ycs:
+                        a, b = prev[y] + cdel, left + cins
+                        d = b if b < a else a
+                        e = fpx[py] + td_row[c]
+                        row[y] = left = e if e < d else d
+                    continue
+                diag = prev[0]
+                for y, py, c, on, lab2 in on_cols:
+                    up = prev[y]
+                    a, b = up + cdel, left + cins
+                    d = b if b < a else a
+                    if on:
                         # both prefixes end in whole subtrees rooted on the
                         # keyroot paths: this cell is itself a tree distance
-                        d = min(
-                            prev[y] + cdel,
-                            row[y - 1] + cins,
-                            prev[y - 1] + crel(lab1, labels2[y + joff]),
-                        )
-                        row[y] = d
-                        td_row[y + joff] = d
+                        e = diag + crel(lab1, lab2)
+                        td_row[c] = d = e if e < d else d
                     else:
-                        px = lml1_x - 1 - ioff
-                        py = lml2[y + joff] - 1 - joff
-                        row[y] = min(
-                            prev[y] + cdel,
-                            row[y - 1] + cins,
-                            fd[px][py] + td_row[y + joff],
-                        )
+                        e = fpx[py] + td_row[c]
+                        d = e if e < d else d
+                    row[y] = left = d
+                    diag = up
     return treedist[n1 - 1][n2 - 1]

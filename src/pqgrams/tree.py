@@ -99,6 +99,9 @@ class Tree:
     def __repr__(self) -> str:
         return f"Tree({serialize_tree(self)!r})"
 
+    def __reduce__(self):  # copy and pickle
+        return _from_preorder, (self.labels, self.sizes)
+
 
 def _from_preorder(labels: tuple[str, ...], sizes: tuple[int, ...]) -> Tree:
     """A tree from preorder arrays that the caller guarantees to be valid."""

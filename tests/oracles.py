@@ -2,7 +2,7 @@
 
 Each oracle takes the slow, literal route: the gram oracle really builds
 the dummy-padded tree and enumerates matching subtrees, the edit distance
-oracle enumerates valid node mappings, and the loss oracle is a plain
+oracles enumerate valid node mappings, and the loss oracle is a plain
 Python transcription of the objective. None of them share code with the
 implementations they check.
 """
@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+
+import numpy as np
 
 from pqgrams.tree import Tree
 
@@ -144,6 +146,62 @@ def ted_exhaustive(t1: Tree, t2: Tree, insert=1.0, delete=1.0, relabel=None) -> 
 
     rec(0, [], 0.0)
     return best
+
+
+class MappingOracle:
+    """Edit distance as the cheapest valid mapping, each shape pair's
+    mappings enumerated once.
+
+    Which mappings are valid depends only on the two ordered shapes, with
+    the same ancestry and sibling-order test as ``ted_exhaustive``; the
+    labels only set each mapping's relabel cost. So each shape pair's
+    mappings are kept as a 0/1 incidence matrix over (source, target) node
+    pairs, and a labeled pair costs one matrix-vector product and a ``min``.
+    The costs are summed in another order than ``ted_exhaustive`` sums them,
+    so the two agree exactly for integer and dyadic costs.
+    """
+
+    def __init__(self, insert=1.0, delete=1.0, relabel=None):
+        self.insert, self.delete = insert, delete
+        self.relabel = relabel or (lambda a, b: 0.0 if a == b else 1.0)
+        self._by_shapes: dict = {}
+
+    def __call__(self, t1: Tree, t2: Tree) -> float:
+        key = (t1.sizes, t2.sizes)  # preorder subtree sizes fix the shape
+        if key not in self._by_shapes:
+            self._by_shapes[key] = self._incidence(*key)
+        incidence, base = self._by_shapes[key]
+        relabel = self.relabel
+        costs = np.array([relabel(a, b) for a in t1.labels for b in t2.labels], dtype=float)
+        return float(np.min(base + incidence @ costs))
+
+    def _incidence(self, sizes1, sizes2):
+        """The valid mappings as incidence rows, and each one's delete and
+        insert cost."""
+        n1, n2 = len(sizes1), len(sizes2)
+        pre1, pre2 = range(n1), range(n2)  # Tree numbers its nodes in preorder
+        mappings: list[list[tuple[int, int]]] = []
+
+        def rec(a, mapping):
+            if a == n1:
+                mappings.append(mapping)
+                return
+            rec(a + 1, mapping)
+            used = {b for _, b in mapping}
+            for b in range(n2):
+                if b not in used and all(
+                    _relation(pre1, sizes1, a0, a) == _relation(pre2, sizes2, b0, b)
+                    for a0, b0 in mapping
+                ):
+                    rec(a + 1, mapping + [(a, b)])
+
+        rec(0, [])
+        incidence = np.zeros((len(mappings), n1 * n2))
+        for row, mapping in zip(incidence, mappings):
+            for a, b in mapping:
+                row[a * n2 + b] = 1.0
+        mapped = np.array([len(m) for m in mappings], dtype=float)
+        return incidence, self.delete * (n1 - mapped) + self.insert * (n2 - mapped)
 
 
 def naive_softplus(x: float) -> float:

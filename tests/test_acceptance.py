@@ -45,7 +45,7 @@ from pqgrams.ted import tree_edit_distance
 from pqgrams.tree import parse_tree, tree_size
 
 from conftest import random_tree_raw, tree_from_parents
-from oracles import enumerate_grams, ted_exhaustive
+from oracles import MappingOracle, enumerate_grams
 
 S12 = GramShape(1, 2)
 S22 = GramShape(2, 2)
@@ -345,11 +345,12 @@ def _all_small_trees(max_nodes=5, labels=("a", "b")):
 
 def test_c09_edit_distance_oracle():
     trees = _all_small_trees()
+    oracle = MappingOracle()
     bad = 0
     checked = 0
     for i, t1 in enumerate(trees):
         for t2 in trees[i:]:
-            if tree_edit_distance(t1, t2) != ted_exhaustive(t1, t2):
+            if tree_edit_distance(t1, t2) != oracle(t1, t2):
                 bad += 1
             checked += 1
     sweep_ok = bad == 0

@@ -3,11 +3,14 @@ import random
 
 import pytest
 
+from pqgrams.datasets import random_tree
 from pqgrams.ted import EditCostTable, tree_edit_distance
-from pqgrams.tree import parse_tree, tree_size
+from pqgrams.tree import Node, Tree, parse_tree, tree_size
 
 from conftest import random_tree_raw, tree_from_parents
-from oracles import ted_exhaustive
+from oracles import MappingOracle, ted_exhaustive
+
+CHEAP_INSERT = EditCostTable(insert=0.25, delete=1.0)
 
 
 def test_identical_trees():
@@ -34,12 +37,17 @@ def test_cost_table_validation():
         EditCostTable(insert=-1.0)
     with pytest.raises(ValueError):
         EditCostTable(delete=-0.5)
+    with pytest.raises(ValueError):
+        EditCostTable(insert=float("nan"))
+    with pytest.raises(ValueError):
+        EditCostTable(delete=float("nan"))
+    # an infinite cost forbids the operation
+    assert tree_edit_distance(parse_tree("a"), parse_tree("b(a)"), EditCostTable(insert=float("inf"))) == float("inf")
 
 
 def test_asymmetric_costs():
-    cheap_insert = EditCostTable(insert=0.25, delete=1.0)
-    assert tree_edit_distance(parse_tree("a"), parse_tree("a(b,c)"), cheap_insert) == 0.5
-    assert tree_edit_distance(parse_tree("a(b,c)"), parse_tree("a"), cheap_insert) == 2.0
+    assert tree_edit_distance(parse_tree("a"), parse_tree("a(b,c)"), CHEAP_INSERT) == 0.5
+    assert tree_edit_distance(parse_tree("a(b,c)"), parse_tree("a"), CHEAP_INSERT) == 2.0
 
 
 def all_trees_up_to(n_max, labels=("a", "b")):
@@ -98,3 +106,65 @@ def test_delete_all_insert_all_bound():
         t1 = random_tree_raw(rng.randrange(1, 16), rng)
         t2 = random_tree_raw(rng.randrange(1, 16), rng)
         assert tree_edit_distance(t1, t2) <= tree_size(t1) + tree_size(t2)
+
+
+def mirror(t: Tree) -> Tree:
+    """The tree with every node's children in reverse order."""
+    return Tree([Node(n.label, n.children[::-1]) for n in t.nodes], t.root)
+
+
+def decomposition_costs(t: Tree) -> tuple[int, int]:
+    """Forest cells per tree of the left and the right keyroot decomposition:
+    subtree sizes summed over the root and every child that is not the first
+    (left) or not the last (right) of its parent."""
+    size: dict[int, int] = {}
+
+    def visit(nid):
+        size[nid] = 1 + sum(visit(c) for c in t.children(nid))
+        return size[nid]
+
+    visit(t.root)
+    kids = [t.children(nid) for nid in t.preorder()]
+    left = size[t.root] + sum(size[c] for ch in kids for c in ch[1:])
+    right = size[t.root] + sum(size[c] for ch in kids for c in ch[:-1])
+    return left, right
+
+
+def test_mirror_images_are_as_far_apart():
+    # mirroring swaps which decomposition is cheaper, so each side of these
+    # equalities runs on the other decomposition whenever one is cheaper
+    rng = random.Random(4)
+    for _ in range(300):
+        a = random_tree_raw(rng.randrange(1, 17), rng)
+        b = random_tree_raw(rng.randrange(1, 17), rng)
+        for costs in (EditCostTable(), CHEAP_INSERT):
+            assert tree_edit_distance(a, b, costs) == tree_edit_distance(mirror(a), mirror(b), costs)
+    for _ in range(6):
+        a = random_tree(40, rng, attach_window=4)
+        b = random_tree(40, rng, attach_window=4)
+        assert tree_edit_distance(a, b) == tree_edit_distance(mirror(a), mirror(b))
+
+
+def test_right_decomposition_matches_exhaustive():
+    rng = random.Random(5)
+    checked = 0
+    for _ in range(600):
+        a = random_tree_raw(rng.randrange(1, 7), rng)
+        b = random_tree_raw(rng.randrange(1, 7), rng)
+        (l1, r1), (l2, r2) = decomposition_costs(a), decomposition_costs(b)
+        if r1 * r2 < l1 * l2:
+            assert tree_edit_distance(a, b) == ted_exhaustive(a, b)
+            checked += 1
+    assert checked >= 50
+
+
+def test_mapping_oracle_matches_exhaustive():
+    # the shape-pair oracle that c09 sweeps with
+    unit, cheap = MappingOracle(), MappingOracle(insert=0.25, delete=1.0)
+    rng = random.Random(6)
+    for k in range(3000):
+        a = random_tree_raw(rng.randrange(1, 6), rng)
+        b = random_tree_raw(rng.randrange(1, 6), rng)
+        assert unit(a, b) == ted_exhaustive(a, b)
+        if k % 6 == 0:
+            assert cheap(a, b) == ted_exhaustive(a, b, insert=0.25, delete=1.0)

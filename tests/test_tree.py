@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 
@@ -127,3 +130,9 @@ def test_roundtrip(t):
 def test_serialize_is_whitespace_free_normal_form(t):
     s = serialize_tree(t)
     assert s == serialize_tree(parse_tree(" " + s.replace(",", " , ") + " "))
+
+
+@given(trees())
+def test_copy_and_pickle_round_trip(t):
+    for u in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+        assert u == t and hash(u) == hash(t)
