@@ -2,7 +2,8 @@
 ingestion, and random tree generation for stress and timing runs.
 
 The TSV corpus format is one item per line, ``label<TAB>bracket-tree``,
-UTF-8 with LF line endings; ``#`` lines are comments.
+UTF-8 with LF line endings; ``#`` lines are comments, and a byte-order mark
+at the start of the file is skipped.
 """
 
 from __future__ import annotations
@@ -28,8 +29,9 @@ class LabeledCorpus:
         if len(set(self.label_names)) != len(self.label_names):
             raise ValueError("label names must be distinct")
         for name in self.label_names:
-            # load_tsv reads a line that starts with '#' as a comment
-            if not name or name[0] == "#" or any(ch in "\t\n\r" for ch in name):
+            # load_tsv reads a line that starts with '#' as a comment, and a
+            # leading U+FEFF in its file as a byte-order mark
+            if not name or name[0] in "#\ufeff" or any(ch in "\t\n\r" for ch in name):
                 raise ValueError(f"bad label name {name!r}")
             name.encode("utf-8")  # UnicodeEncodeError for a lone surrogate
         for item in self.items:
@@ -85,7 +87,7 @@ def load_tsv(path) -> LabeledCorpus:
     """Read a labeled corpus; malformed lines raise with their line number."""
     items: list[LabeledTree] = []
     label_ids: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n").rstrip("\r")
             if not line.strip() or line.startswith("#"):
@@ -97,6 +99,8 @@ def load_tsv(path) -> LabeledCorpus:
                 )
             name, text = parts
             if name not in label_ids:
+                if not name or name[0] == "\ufeff":
+                    raise ValueError(f"{path}:{lineno}: bad label name {name!r}")
                 label_ids[name] = len(label_ids)
             try:
                 tree = parse_tree(text)

@@ -22,8 +22,8 @@ from .ted import tree_edit_distance
 from .tree import Tree
 
 
-# bytes of the float64 block that one query's reference rows are scattered
-# into, so k-NN memory stays bounded whatever the references and vocabulary
+# bytes of the float64 block that one query's reference rows are built in,
+# so k-NN memory stays bounded whatever the references and vocabulary
 _BLOCK_BYTES = 1 << 20
 
 
@@ -83,9 +83,10 @@ class GramDistance(TreeDistance):
     ``query_distances`` gives one query's distances to a whole reference
     list through the kernel's row reduction, each bit for bit the pair call
     ``self(ref, query)``. The reference profiles stay sparse; per query,
-    they are scattered a block of rows at a time into one dense buffer of
-    at most ``_BLOCK_BYTES``. The last reference list is kept, keyed on its
-    trees' identities (which the encoding cache keeps alive).
+    the kernel builds a block of rows at a time from their nonzeros, in one
+    dense buffer of at most ``_BLOCK_BYTES``. The last reference list is
+    kept, keyed on its trees' identities (which the encoding cache keeps
+    alive).
     """
 
     def __init__(self, name: str, model: WeightModel):
@@ -102,8 +103,8 @@ class GramDistance(TreeDistance):
         self._refs = None
 
     def _blocks(self, refs: Sequence[Tree]) -> list:
-        """(lo, hi, positions, counts) per block of reference rows, with each
-        count's flat position in the block buffer."""
+        """(lo, hi, positions, slots, counts) per block of reference rows, with
+        each count's flat position in the block buffer and its slot."""
         key = tuple(map(id, refs))
         if self._refs is None or self._refs[0] != key:
             dim = self.model.dim
@@ -113,8 +114,9 @@ class GramDistance(TreeDistance):
             for lo in range(0, len(profs), step):
                 part = profs[lo : lo + step]
                 pos = np.concatenate([r * dim + p.indices for r, p in enumerate(part)])
+                slots = np.concatenate([p.indices for p in part])
                 vals = np.concatenate([p.counts for p in part]).astype(np.float64)
-                blocks.append((lo, lo + len(part), pos, vals))
+                blocks.append((lo, lo + len(part), pos, slots, vals))
             self._refs = (key, blocks)
         return self._refs[1]
 
@@ -126,13 +128,10 @@ class GramDistance(TreeDistance):
         blocks = self._blocks(refs)
         x = count_matrix([self._encode(query)], self.model.vocab)[0]
         eff = self.model.effective_weights()
+        base = np.abs(x) * eff
         buf = np.empty((blocks[0][1], self.model.dim))
-        flat = buf.reshape(-1)
-        for lo, hi, pos, vals in blocks:
-            block = buf[: hi - lo]
-            block.fill(0.0)
-            flat[pos] = vals
-            out[lo:hi] = row_distances(x, block, eff, block)
+        for lo, hi, pos, slots, vals in blocks:
+            out[lo:hi] = row_distances(x, base, eff, pos, slots, vals, buf[: hi - lo])
         return out
 
 

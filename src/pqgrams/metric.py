@@ -5,13 +5,17 @@ slot: dist(x, y) = sum_i softplus(w_i) * |x_i - y_i|. Softplus keeps all
 effective weights strictly positive, so the distance stays a pseudo-metric
 (distinct trees may still sit at distance zero) for any finite parameters.
 
-Every weighted distance, from one pair to a whole training set, comes out of
-one kernel over dense count rows (``row_distances``, behind
-``pairwise_distances``; k-NN feeds it blocks of reference rows). Each entry
-is the sum over one full row of ``softplus(w) * |a - b|``, reduced the same
-way whatever the block shape, so a 1x1 call, a row, a reference block and a
-symmetric matrix agree bit for bit; training and k-NN therefore see
-identical distances and ties.
+Every weighted distance the kernel serves, from one pair to a whole
+training set, comes out of ``row_distances`` (behind ``pairwise_distances``;
+k-NN feeds it blocks of reference rows). It builds a dense block of
+``eff * |B - a|`` from two parts: ``|a| * eff`` copied into every row, which
+is exactly the term of a slot where the reference row is zero, and the
+references' nonzeros patched in. Each element is the same float as in the
+dense formula, and each entry is one sum over a full, contiguous row, so a
+1x1 call, a row, a reference block and a symmetric matrix agree bit for
+bit: targets, impostors, k-NN and pair calls see identical distances and
+ties. The loss's ``_PairTerms.distances`` sums in another order and can
+differ in the last bits.
 """
 
 from __future__ import annotations
@@ -94,18 +98,23 @@ def pq_distance(x: Profile, y: Profile) -> int:
     return sym_diff(x, y).total()
 
 
-def row_distances(
-    row: np.ndarray, B: np.ndarray, eff: np.ndarray, buf: np.ndarray
-) -> np.ndarray:
-    """The kernel's reduction: sum_i eff_i * |B[b, i] - row_i| for each row of
-    ``B``, worked in ``buf`` (which may be ``B`` itself)."""
-    # one reduction per row of B over its full, contiguous length: the value
-    # for a pair depends on its two rows only, never on the block around them
-    out = buf[: len(B)]
-    np.subtract(B, row, out=out)
-    np.abs(out, out=out)
-    out *= eff
-    return out.sum(axis=1)
+def row_distances(row, base, eff, pos, slots, vals, block) -> np.ndarray:
+    """The kernel: sum_i eff_i * |B[b, i] - row_i| for each row b of a block
+    ``B`` of reference rows given by their nonzeros (flat positions ``pos``
+    in ``B``, ``slots``, ``vals``), with ``base = |row| * eff``. Worked in
+    ``block``, a C-contiguous ``len(B) x dim`` buffer."""
+    # a zero slot's term |0 - row_i| * eff_i is base_i exactly; one reduction
+    # per row over its full, contiguous length, so the value for a pair
+    # depends on its two rows only, never on the block around them
+    block[:] = base
+    block.reshape(-1)[pos] = np.abs(vals - row[slots]) * eff[slots]
+    return block.sum(axis=1)
+
+
+def _nonzeros(B: np.ndarray):
+    """Row-major nonzeros of ``B``: row starts, flat positions, slots, values."""
+    r, c = np.nonzero(B)
+    return np.searchsorted(r, np.arange(len(B) + 1)), r * B.shape[1] + c, c, B[r, c]
 
 
 def pairwise_distances(model: WeightModel, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -116,21 +125,26 @@ def pairwise_distances(model: WeightModel, A: np.ndarray, B: np.ndarray) -> np.n
     W_INIT (effective weights of 1).
     """
     eff = model.effective_weights()
+    _, pos, slots, vals = _nonzeros(B)
     D = np.empty((len(A), len(B)))
-    buf = np.empty((len(B), model.dim))
+    block = np.empty((len(B), model.dim))
     for a, row in enumerate(A):
-        D[a] = row_distances(row, B, eff, buf)
+        D[a] = row_distances(row, np.abs(row) * eff, eff, pos, slots, vals, block)
     return D
 
 
 def symmetric_distances(model: WeightModel, X: np.ndarray) -> np.ndarray:
     """``pairwise_distances(model, X, X)``, computing only the upper triangle."""
     eff = model.effective_weights()
-    m = len(X)
+    m, dim = X.shape
+    starts, pos, slots, vals = _nonzeros(X)
     D = np.zeros((m, m))
-    buf = np.empty((m, model.dim))
+    buf = np.empty((m, dim))
     for a in range(m - 1):
-        D[a, a + 1 :] = row_distances(X[a], X[a + 1 :], eff, buf)
+        # the nonzeros of rows a+1:, placed in a block that starts at row a+1
+        s, row = slice(starts[a + 1], None), X[a]
+        part = (pos[s] - (a + 1) * dim, slots[s], vals[s])
+        D[a, a + 1 :] = row_distances(row, np.abs(row) * eff, eff, *part, buf[: m - a - 1])
     # adding the zero lower triangle is exact: the mirror is bit for bit
     return D + D.T
 

@@ -172,3 +172,33 @@ def test_class_names_starting_with_hash_rejected(tmp_path):
     corpus = LabeledCorpus(items, ["x#", "y"])
     save_tsv(corpus, tmp_path / "c.tsv")
     assert len(load_tsv(tmp_path / "c.tsv")) == 2
+
+
+def test_load_tsv_skips_a_byte_order_mark(tmp_path):
+    # a BOM read as text would glue U+FEFF onto the first class name
+    path = tmp_path / "bom.tsv"
+    path.write_bytes("periodic\ta(b)\nperiodic\ta(c)\nrandom\tb(c)\n".encode("utf-8-sig"))
+    corpus = load_tsv(path)
+    assert corpus.label_names == ["periodic", "random"]
+    assert [item.label for item in corpus.items] == [0, 0, 1]
+    commented = tmp_path / "bom-comment.tsv"
+    commented.write_bytes("# header\nx\ta\n".encode("utf-8-sig"))
+    assert load_tsv(commented).label_names == ["x"]
+
+
+def test_class_names_starting_with_bom_rejected(tmp_path):
+    # load_tsv would read a leading U+FEFF in its file as a byte-order mark
+    items = [LabeledTree(parse_tree("a"), 0), LabeledTree(parse_tree("b"), 1)]
+    with pytest.raises(ValueError, match="label name"):
+        LabeledCorpus(items, ["\ufeffx", "y"])
+    corpus = LabeledCorpus(items, ["x\ufeff", "y"])
+    save_tsv(corpus, tmp_path / "c.tsv")
+    assert load_tsv(tmp_path / "c.tsv").label_names == ["x\ufeff", "y"]
+
+
+def test_load_tsv_rejects_bad_label_names_with_their_line(tmp_path):
+    for name, text in (("late-bom", "x\ta\n\ufeffy\tb\n"), ("empty", "x\ta\n\tb\n")):
+        path = tmp_path / f"{name}.tsv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"{name}\.tsv:2: bad label name"):
+            load_tsv(path)

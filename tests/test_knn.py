@@ -6,7 +6,7 @@ import pytest
 
 from pqgrams import knn
 from pqgrams.datasets import gen_strings, random_tree
-from pqgrams.grams import GramShape, Vocabulary, profile
+from pqgrams.grams import GramShape, Vocabulary, count_matrix, profile
 from pqgrams.knn import (
     TreeDistance,
     benchmark_inference,
@@ -266,3 +266,21 @@ def test_reference_cache_follows_the_reference_list():
     agrees_with_fresh(refs)
     dist.clear_cache()
     agrees_with_fresh(refs)
+
+
+def test_query_distances_equal_dense_formula_over_several_blocks():
+    rng = random.Random(12)
+    vocab = Vocabulary.from_trees([random_tree(80, rng, tuple("abcdefgh")) for _ in range(30)], S22)
+    step = knn._BLOCK_BYTES // (8 * vocab.dim)
+    assert step >= 1
+    # two full blocks and a last block of one row; most trees carry OOV grams
+    refs = [random_tree(80, rng, tuple("abcdefgh")) for _ in range(2 * step + 1)]
+    refs[3] = parse_tree("q")  # every gram out of vocabulary
+    model = WeightModel(vocab, np.random.default_rng(12).uniform(-4.0, 4.0, vocab.dim))
+    eff = model.effective_weights()
+    X = count_matrix([profile(t, vocab) for t in refs], vocab)
+    dist = weighted_gram_distance(model)
+    for q in [random_tree(80, rng, tuple("abcdefghz")) for _ in range(4)] + refs[-2:]:
+        x = count_matrix([profile(q, vocab)], vocab)[0]
+        want = (np.abs(X - x) * eff).sum(axis=1)
+        assert dist.query_distances(refs, q).tobytes() == want.tobytes()

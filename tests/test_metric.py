@@ -4,7 +4,14 @@ import random
 import numpy as np
 import pytest
 
-from pqgrams.grams import GramShape, build_vocabulary, count_matrix, profile, sym_diff
+from pqgrams.grams import (
+    GramShape,
+    Vocabulary,
+    build_vocabulary,
+    count_matrix,
+    profile,
+    sym_diff,
+)
 from pqgrams.metric import (
     W_INIT,
     WeightModel,
@@ -225,3 +232,28 @@ def test_kernel_agrees_bit_for_bit_with_pair_calls():
         init = pairwise_distances(WeightModel.initial(v), X, X)
         want = [[float(pq_distance(ps[i], ps[j])) for j in range(m)] for i in range(m)]
         assert init.tolist() == want
+
+
+def dense_formula(model, A, B):
+    """The weighted distance written out densely, apart from the kernel."""
+    eff = model.effective_weights()
+    return np.array([(np.abs(B - a) * eff).sum(axis=1) for a in A]).reshape(len(A), len(B))
+
+
+def test_kernel_equals_dense_formula_bit_for_bit():
+    np_rng = np.random.default_rng(61)
+    # row sums are pairwise below and above numpy's 8-wide unroll and its
+    # 128-element blocks, and far above them
+    for dim in (1, 3, 7, 8, 9, 50, 127, 128, 129, 3001):
+        v = Vocabulary(S12, [(f"l{i}", "*", "*") for i in range(dim - 1)])
+        model = WeightModel(v, np_rng.uniform(-4, 4, dim))
+        for density in (0.03, 0.3, 1.0):
+            m = int(np_rng.integers(2, 9))
+            X = np_rng.integers(0, 5, (m, dim)) * (np_rng.random((m, dim)) < density)
+            X = X.astype(np.float64)
+            X[0] = 0.0  # an all-zero row
+            X[-1, v.oov_id] = 3.0  # OOV counts
+            Y = X[::-1].copy()
+            assert symmetric_distances(model, X).tobytes() == dense_formula(model, X, X).tobytes()
+            for A, B in ((X, Y), (X[1:2], Y), (X, Y[:1]), (X[:1], Y[2:3])):
+                assert pairwise_distances(model, A, B).tobytes() == dense_formula(model, A, B).tobytes()
