@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .lmnn import LabeledTree
+from .lmnn import _UNDECODABLE, LabeledTree
 from .tree import Node, Tree, parse_tree, serialize_tree
 
 STRING_CLASS_NAMES = ("periodic", "random")
@@ -87,8 +87,11 @@ def load_tsv(path) -> LabeledCorpus:
     """Read a labeled corpus; malformed lines raise with their line number."""
     items: list[LabeledTree] = []
     label_ids: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8-sig") as fh:
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            if bad := _UNDECODABLE.search(line):
+                byte = ord(bad[0]) - 0xDC00
+                raise ValueError(f"{path}:{lineno}: not valid UTF-8 (byte 0x{byte:02x})")
             line = line.rstrip("\n").rstrip("\r")
             if not line.strip() or line.startswith("#"):
                 continue

@@ -17,14 +17,9 @@ import numpy as np
 
 from .grams import GramShape, Vocabulary, count_matrix, profile
 from .lmnn import LabeledTree, TrainedModel
-from .metric import WeightModel, row_distances, weighted_distance
+from .metric import _BLOCK_BYTES, CountRows, WeightModel, weighted_distance  # noqa: F401
 from .ted import tree_edit_distance
 from .tree import Tree
-
-
-# bytes of the float64 block that one query's reference rows are built in,
-# so k-NN memory stays bounded whatever the references and vocabulary
-_BLOCK_BYTES = 1 << 20
 
 
 class TreeDistance:
@@ -34,10 +29,6 @@ class TreeDistance:
     benchmark can charge encoding to the measured pipeline; ``__call__``
     encodes lazily on cache misses. Encoded values are cached per tree
     object identity, which is safe because trees are immutable.
-
-    ``knn_classify`` calls a plain ``TreeDistance`` once per (reference,
-    query) pair; a :class:`GramDistance` gives it all of one query's
-    reference distances in one call.
     """
 
     def __init__(
@@ -81,12 +72,9 @@ class GramDistance(TreeDistance):
     """Weighted gram distance of one model, over cached gram profiles.
 
     ``query_distances`` gives one query's distances to a whole reference
-    list through the kernel's row reduction, each bit for bit the pair call
-    ``self(ref, query)``. The reference profiles stay sparse; per query,
-    the kernel builds a block of rows at a time from their nonzeros, in one
-    dense buffer of at most ``_BLOCK_BYTES``. The last reference list is
-    kept, keyed on its trees' identities (which the encoding cache keeps
-    alive).
+    list in one kernel call, each bit for bit the pair call
+    ``self(ref, query)``. The last reference list's ``CountRows`` is kept,
+    keyed on its trees' identities (which the encoding cache keeps alive).
     """
 
     def __init__(self, name: str, model: WeightModel):
@@ -96,43 +84,20 @@ class GramDistance(TreeDistance):
             encoder=lambda t: profile(t, model.vocab),
         )
         self.model = model
-        self._refs: tuple[tuple[int, ...], list] | None = None
+        self._refs: tuple[tuple[int, ...], CountRows] | None = None
 
     def clear_cache(self) -> None:
         super().clear_cache()
         self._refs = None
 
-    def _blocks(self, refs: Sequence[Tree]) -> list:
-        """(lo, hi, positions, slots, counts) per block of reference rows, with
-        each count's flat position in the block buffer and its slot."""
-        key = tuple(map(id, refs))
-        if self._refs is None or self._refs[0] != key:
-            dim = self.model.dim
-            step = max(1, _BLOCK_BYTES // (8 * dim))
-            profs = [self._encode(t) for t in refs]
-            blocks = []
-            for lo in range(0, len(profs), step):
-                part = profs[lo : lo + step]
-                pos = np.concatenate([r * dim + p.indices for r, p in enumerate(part)])
-                slots = np.concatenate([p.indices for p in part])
-                vals = np.concatenate([p.counts for p in part]).astype(np.float64)
-                blocks.append((lo, lo + len(part), pos, slots, vals))
-            self._refs = (key, blocks)
-        return self._refs[1]
-
     def query_distances(self, refs: Sequence[Tree], query: Tree) -> np.ndarray:
         """``[self(r, query) for r in refs]`` as an array, in one call."""
-        out = np.empty(len(refs))
-        if not refs:
-            return out
-        blocks = self._blocks(refs)
+        key = tuple(map(id, refs))
+        if self._refs is None or self._refs[0] != key:
+            profs = [self._encode(t) for t in refs]
+            self._refs = (key, CountRows.of_profiles(profs, self.model.dim))
         x = count_matrix([self._encode(query)], self.model.vocab)[0]
-        eff = self.model.effective_weights()
-        base = np.abs(x) * eff
-        buf = np.empty((blocks[0][1], self.model.dim))
-        for lo, hi, pos, slots, vals in blocks:
-            out[lo:hi] = row_distances(x, base, eff, pos, slots, vals, buf[: hi - lo])
-        return out
+        return self._refs[1].distances(self.model.effective_weights(), x)
 
 
 def weighted_gram_distance(model: WeightModel | TrainedModel) -> GramDistance:

@@ -386,6 +386,10 @@ class ModelFormatError(ValueError):
     pass
 
 
+# what reading with errors="surrogateescape" makes of a byte that is not UTF-8
+_UNDECODABLE = re.compile("[\udc80-\udcff]")
+
+
 def save_model(trained: TrainedModel, path) -> None:
     model = trained.model
     vocab = model.vocab
@@ -423,8 +427,12 @@ def _parse_weight(path, lineno: int, text: str) -> float:
 
 
 def load_model(path) -> TrainedModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = fh.read().splitlines()
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        text = fh.read()
+    if bad := _UNDECODABLE.search(text):
+        lineno, byte = len(text[: bad.end()].splitlines()), ord(bad[0]) - 0xDC00
+        raise ModelFormatError(f"{path}:{lineno}: not valid UTF-8 (byte 0x{byte:02x})")
+    raw = text.splitlines()
     if not raw:
         raise ModelFormatError(f"{path}: empty model file")
     m = _HEADER_RE.match(raw[0])

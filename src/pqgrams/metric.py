@@ -5,17 +5,10 @@ slot: dist(x, y) = sum_i softplus(w_i) * |x_i - y_i|. Softplus keeps all
 effective weights strictly positive, so the distance stays a pseudo-metric
 (distinct trees may still sit at distance zero) for any finite parameters.
 
-Every weighted distance the kernel serves, from one pair to a whole
-training set, comes out of ``row_distances`` (behind ``pairwise_distances``;
-k-NN feeds it blocks of reference rows). It builds a dense block of
-``eff * |B - a|`` from two parts: ``|a| * eff`` copied into every row, which
-is exactly the term of a slot where the reference row is zero, and the
-references' nonzeros patched in. Each element is the same float as in the
-dense formula, and each entry is one sum over a full, contiguous row, so a
-1x1 call, a row, a reference block and a symmetric matrix agree bit for
-bit: targets, impostors, k-NN and pair calls see identical distances and
-ties. The loss's ``_PairTerms.distances`` sums in another order and can
-differ in the last bits.
+Every weighted distance, from one pair to a training set or a k-NN
+reference list, comes out of one kernel, ``CountRows.distances``, so pair
+calls, targets, impostors and k-NN see identical distances and ties. Only
+the loss's ``_PairTerms.distances`` sums in another order (last bits can differ).
 """
 
 from __future__ import annotations
@@ -98,53 +91,82 @@ def pq_distance(x: Profile, y: Profile) -> int:
     return sym_diff(x, y).total()
 
 
-def row_distances(row, base, eff, pos, slots, vals, block) -> np.ndarray:
-    """The kernel: sum_i eff_i * |B[b, i] - row_i| for each row b of a block
-    ``B`` of reference rows given by their nonzeros (flat positions ``pos``
-    in ``B``, ``slots``, ``vals``), with ``base = |row| * eff``. Worked in
-    ``block``, a C-contiguous ``len(B) x dim`` buffer."""
-    # a zero slot's term |0 - row_i| * eff_i is base_i exactly; one reduction
-    # per row over its full, contiguous length, so the value for a pair
-    # depends on its two rows only, never on the block around them
-    block[:] = base
-    block.reshape(-1)[pos] = np.abs(vals - row[slots]) * eff[slots]
-    return block.sum(axis=1)
+# bytes of a kernel block: memory stays bounded whatever the rows and vocabulary
+_BLOCK_BYTES = 1 << 20
 
 
-def _nonzeros(B: np.ndarray):
-    """Row-major nonzeros of ``B``: row starts, flat positions, slots, values."""
-    r, c = np.nonzero(B)
-    return np.searchsorted(r, np.arange(len(B) + 1)), r * B.shape[1] + c, c, B[r, c]
+@dataclass(frozen=True, eq=False)
+class CountRows:
+    """Count rows over ``dim`` slots, held as their row-major nonzeros: row
+    ``r`` owns entries ``starts[r]:starts[r + 1]``, each with its flat
+    position ``r * dim + slot`` in a C-contiguous ``rows x dim`` matrix, its
+    slot and its float64 count. The kernel rebuilds full, ``dim``-long rows
+    in blocks of at most ``_BLOCK_BYTES``: ``|row| * eff`` (exactly the term
+    of a slot where the reference is zero) with the nonzeros' terms patched
+    in, each element the dense formula's float. Each distance is one sum
+    over a contiguous row, so it depends on its two rows only, never on the
+    block or call around them.
+    """
+
+    dim: int
+    starts: np.ndarray
+    pos: np.ndarray
+    slots: np.ndarray
+    vals: np.ndarray
+
+    @classmethod
+    def of_matrix(cls, B: np.ndarray) -> "CountRows":
+        r, c = np.nonzero(B)
+        starts = np.searchsorted(r, np.arange(len(B) + 1))
+        return cls(B.shape[1], starts, r * B.shape[1] + c, c, B[r, c])
+
+    @classmethod
+    def of_profiles(cls, profiles: list[Profile], dim: int) -> "CountRows":
+        lens = [len(p.indices) for p in profiles]
+        slots = np.concatenate([np.empty(0, np.int64), *(p.indices for p in profiles)])
+        vals = np.concatenate([np.empty(0), *(p.counts for p in profiles)])
+        rows = np.repeat(np.arange(len(lens)), lens)
+        return cls(dim, np.cumsum([0, *lens]), rows * dim + slots, slots, vals)
+
+    def distances(self, eff: np.ndarray, row: np.ndarray, start: int = 0) -> np.ndarray:
+        """sum_i eff_i * |ref_i - row_i| for rows ``start:``, blocks counted from there."""
+        n, dim = len(self.starts) - 1, self.dim
+        step = max(1, _BLOCK_BYTES // (8 * dim))
+        out = np.empty(n - start)
+        block = np.empty((min(step, n - start), dim))
+        base = np.abs(row) * eff
+        for lo in range(start, n, step):
+            hi = min(n, lo + step)
+            s = slice(self.starts[lo], self.starts[hi])
+            buf = block[: hi - lo]
+            buf[:] = base
+            terms = np.abs(self.vals[s] - row[self.slots[s]]) * eff[self.slots[s]]
+            buf.reshape(-1)[self.pos[s] - lo * dim] = terms
+            out[lo - start : hi - start] = buf.sum(axis=1)
+        return out
 
 
 def pairwise_distances(model: WeightModel, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """D[a, b] = sum_i softplus(w_i) * |A[a, i] - B[b, i]| over dense count rows.
 
-    Works through one row of ``A`` at a time in a ``len(B) x dim`` buffer.
-    Exactly symmetric, exactly 0 for equal rows, and integer-exact at
-    W_INIT (effective weights of 1).
+    One kernel call per row of ``A``. Exactly symmetric, exactly 0 for
+    equal rows, and integer-exact at W_INIT (effective weights of 1).
     """
     eff = model.effective_weights()
-    _, pos, slots, vals = _nonzeros(B)
+    rows = CountRows.of_matrix(B)
     D = np.empty((len(A), len(B)))
-    block = np.empty((len(B), model.dim))
     for a, row in enumerate(A):
-        D[a] = row_distances(row, np.abs(row) * eff, eff, pos, slots, vals, block)
+        D[a] = rows.distances(eff, row)
     return D
 
 
 def symmetric_distances(model: WeightModel, X: np.ndarray) -> np.ndarray:
     """``pairwise_distances(model, X, X)``, computing only the upper triangle."""
     eff = model.effective_weights()
-    m, dim = X.shape
-    starts, pos, slots, vals = _nonzeros(X)
-    D = np.zeros((m, m))
-    buf = np.empty((m, dim))
-    for a in range(m - 1):
-        # the nonzeros of rows a+1:, placed in a block that starts at row a+1
-        s, row = slice(starts[a + 1], None), X[a]
-        part = (pos[s] - (a + 1) * dim, slots[s], vals[s])
-        D[a, a + 1 :] = row_distances(row, np.abs(row) * eff, eff, *part, buf[: m - a - 1])
+    rows = CountRows.of_matrix(X)
+    D = np.zeros((len(X), len(X)))
+    for a in range(len(X) - 1):
+        D[a, a + 1 :] = rows.distances(eff, X[a], a + 1)
     # adding the zero lower triangle is exact: the mirror is bit for bit
     return D + D.T
 

@@ -12,6 +12,7 @@ from pqgrams.datasets import (
     random_tree,
     save_tsv,
 )
+from pqgrams.cli import run
 from pqgrams.lmnn import LabeledTree
 from pqgrams.tree import parse_tree, serialize_tree, tree_size
 
@@ -202,3 +203,17 @@ def test_load_tsv_rejects_bad_label_names_with_their_line(tmp_path):
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ValueError, match=rf"{name}\.tsv:2: bad label name"):
             load_tsv(path)
+
+
+@pytest.mark.parametrize(
+    "data, lineno, byte",
+    [(b"x\ta\ny\xff\tb\n", 2, "ff"), (b"x\ta\n" * 3000 + b"y\tb(\xc3)\n", 3001, "c3")],
+)
+def test_load_tsv_rejects_bytes_that_are_not_utf8_with_their_line(tmp_path, capsys, data, lineno, byte):
+    # the second file's bad byte sits far past the first decoded chunk
+    path = tmp_path / "latin1.tsv"
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match=rf"latin1\.tsv:{lineno}: not valid UTF-8 \(byte 0x{byte}\)"):
+        load_tsv(path)
+    assert run(["train", "--data", str(path), "--out", str(tmp_path / "m.txt")]) == 2
+    assert f"latin1.tsv:{lineno}: not valid UTF-8" in capsys.readouterr().err

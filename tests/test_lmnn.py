@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from pqgrams.cli import run
 from pqgrams.datasets import gen_strings
 from pqgrams.grams import GramShape, Vocabulary, build_vocabulary, profile
 from pqgrams.lmnn import (
@@ -463,6 +464,16 @@ def test_repeated_tuple_line_rejected_with_line_number(tmp_path):
     )
     with pytest.raises(ModelFormatError, match=r"m\.txt:3: .*line 2"):
         load_model(path)
+
+
+def test_model_file_not_utf8_rejected_with_line_number(tmp_path, capsys):
+    path = tmp_path / "m.txt"
+    path.write_bytes(b"pqgram-model v1 p=1 q=2 dim=2\n# loss 1.0\na\xff\t*\t*\t0.5\nOOV 0.5\n")
+    with pytest.raises(ModelFormatError, match=r"m\.txt:3: not valid UTF-8 \(byte 0xff\)"):
+        load_model(path)
+    args = ["dist", "--algo", "wpq", "--model", str(path), "--t1", "a", "--t2", "b"]
+    assert run(args) == 2
+    assert "m.txt:3: not valid UTF-8" in capsys.readouterr().err
 
 
 def test_save_model_golden_file(tmp_path):

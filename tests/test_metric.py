@@ -13,6 +13,7 @@ from pqgrams.grams import (
     sym_diff,
 )
 from pqgrams.metric import (
+    _BLOCK_BYTES,
     W_INIT,
     WeightModel,
     distance_gradient,
@@ -243,12 +244,15 @@ def dense_formula(model, A, B):
 def test_kernel_equals_dense_formula_bit_for_bit():
     np_rng = np.random.default_rng(61)
     # row sums are pairwise below and above numpy's 8-wide unroll and its
-    # 128-element blocks, and far above them
-    for dim in (1, 3, 7, 8, 9, 50, 127, 128, 129, 3001):
+    # 128-element blocks, and far above them; the last case has more rows
+    # than one kernel block holds, so blocks also start in mid-matrix
+    assert 100 > _BLOCK_BYTES // (8 * 3001)
+    dims = (1, 3, 7, 8, 9, 50, 127, 128, 129, 3001)
+    for dim, rows in [(d, None) for d in dims] + [(3001, 100)]:
         v = Vocabulary(S12, [(f"l{i}", "*", "*") for i in range(dim - 1)])
         model = WeightModel(v, np_rng.uniform(-4, 4, dim))
         for density in (0.03, 0.3, 1.0):
-            m = int(np_rng.integers(2, 9))
+            m = rows or int(np_rng.integers(2, 9))
             X = np_rng.integers(0, 5, (m, dim)) * (np_rng.random((m, dim)) < density)
             X = X.astype(np.float64)
             X[0] = 0.0  # an all-zero row
