@@ -9,15 +9,24 @@ closer than the k-th target is an impostor (negative pair). The hinge loss
 is minimized by full-batch Adam; impostors are recomputed periodically with
 the current weights, targets stay fixed at their initial-distance choice.
 
-Training encodes its trees once, as a dense count matrix, and every
-distance it needs comes from the pairwise kernel in ``metric``: targets
-from one kernel row per point against its class, each impostor refresh
-from one symmetric matrix over the whole training set, and the per-pair
-difference vectors of the loss from blocks of row differences.
+Training encodes its trees once, as a dense count matrix, and scores only
+the pairs it reads, all through the kernel in ``metric``: targets from one
+symmetric matrix per class, and at each impostor refresh the target pairs
+(for the radii) plus the pairs of different classes, never the other
+same-class pairs. The loss holds each pair's nonzero |x - y| terms in one
+column of a zero-padded array; the targets' terms are differenced once per
+run, the impostors' at each refresh. A pair's loss distance adds its terms
+one after another in ascending slot order, so it can differ from the
+kernel's pairwise row sum in the last bits; the gradient adds the active
+pairs' terms per slot in pair order.
+
+Each refresh logs one DEBUG line to the ``pqgrams`` logger: the epoch, the
+impostor count, the active positive and negative hinges and the loss.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import random
 import re
@@ -28,8 +37,9 @@ import numpy as np
 
 from .grams import GramShape, Profile, Vocabulary, count_matrix, encode_trees
 from .metric import (
+    CountRows,
     WeightModel,
-    pairwise_distances,
+    paired_distances,
     sigmoid,
     softplus,
     symmetric_distances,
@@ -39,6 +49,10 @@ from .tree import Tree
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+# silent unless the application configures logging; train reports each
+# impostor refresh at DEBUG
+log = logging.getLogger("pqgrams")
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,6 +76,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("mu1", "mu2", "beta", "eta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if self.mu1 < 0 or self.mu2 < 0:
@@ -99,10 +116,12 @@ def build_targets(
 ) -> list[tuple[int, int]]:
     """For each i, pairs to its k nearest same-label points under ``model``.
 
-    Distance ties break toward the lower index. Raises if any class has
-    fewer than k+1 members.
+    Each class's distances come from one ``symmetric_distances`` matrix
+    over its own rows; the kernel's distance depends on its two rows only,
+    so they are the bits of any other call. Pairs are listed by i, nearest
+    first; distance ties break toward the lower index. Raises if any class
+    has fewer than k+1 members.
     """
-    m = len(profiles)
     by_label: dict[int, list[int]] = {}
     for i, lab in enumerate(labels):
         by_label.setdefault(lab, []).append(i)
@@ -111,14 +130,15 @@ def build_targets(
             raise ValueError(
                 f"class {lab} has {len(members)} members, needs at least {k + 1}"
             )
-    X = count_matrix(profiles, model.vocab)
-    pairs: list[tuple[int, int]] = []
-    for i in range(m):
-        js = np.array([j for j in by_label[labels[i]] if j != i])
-        d = pairwise_distances(model, X[i : i + 1], X[js])[0]
-        # stable sort over ascending js: equal distances keep the lower index
-        pairs.extend((i, j) for j in js[np.argsort(d, kind="stable")[:k]].tolist())
-    return pairs
+    nearest: list[list[int]] = [[] for _ in labels]
+    for members in by_label.values():
+        D = symmetric_distances(model, count_matrix([profiles[j] for j in members], model.vocab))
+        np.fill_diagonal(D, np.inf)
+        # stable sort over ascending members: equal distances keep the lower index
+        picks = np.array(members)[np.argsort(D, axis=1, kind="stable")[:, :k]]
+        for i, js in zip(members, picks.tolist()):
+            nearest[i] = js
+    return [(i, j) for i, js in enumerate(nearest) for j in js]
 
 
 def find_impostors(
@@ -128,71 +148,117 @@ def find_impostors(
     targets: Sequence[tuple[int, int]],
     k: int,
 ) -> list[tuple[int, int]]:
-    """Differently-labeled points strictly closer than the k-th target.
+    """Differently-labeled points strictly closer than the k-th target, as
+    ``(i, j)`` pairs sorted by i, then j; the result may be empty.
 
-    One symmetric distance matrix over all points under the current
-    ``model`` gives both the radii (the farthest target of each point) and
-    the candidates; the result may be empty.
+    Only two pair sets are scored under the current ``model``: the target
+    pairs, in one ``paired_distances`` pass that gives each point its
+    radius, and the pairs of different classes. For the latter the rows
+    are put in class order and each point runs the ``CountRows`` kernel
+    over the rows of later classes only; the result is mirrored, since the
+    kernel's distance is symmetric bit for bit. Same-class pairs that are
+    not targets are never scored.
     """
     m = len(profiles)
-    target_js: list[list[int]] = [[] for _ in range(m)]
-    for i, j in targets:
-        target_js[i].append(j)
-    for i, js in enumerate(target_js):
-        if len(js) != k:
-            raise ValueError(f"point {i} has {len(js)} targets, expected {k}")
-    X = count_matrix(profiles, model.vocab)
-    D = symmetric_distances(model, X)
+    ij = np.array(targets, dtype=np.int64).reshape(-1, 2)
+    per_point = np.bincount(ij[:, 0], minlength=m)
+    if (wrong := np.flatnonzero(per_point != k)).size:
+        i = int(wrong[0])
+        raise ValueError(f"point {i} has {per_point[i]} targets, expected {k}")
+    # from here on rows and points are numbered in class order
     labels_arr = np.asarray(labels)
-    out: list[tuple[int, int]] = []
-    for i in range(m):
-        radius = D[i, target_js[i]].max()
-        hits = np.flatnonzero((labels_arr != labels_arr[i]) & (D[i] < radius))
-        out.extend((i, j) for j in hits.tolist())
-    return out
+    order = np.argsort(labels_arr, kind="stable")
+    rank = np.argsort(order)
+    X = count_matrix([profiles[i] for i in order], model.vocab)
+    radius = np.full(m, -np.inf)
+    np.maximum.at(radius, rank[ij[:, 0]], paired_distances(model, X, rank[ij]))
+
+    sorted_labels = labels_arr[order]
+    # each point's first row past its class
+    later = np.searchsorted(sorted_labels, sorted_labels, side="right")
+    rows = CountRows.of_matrix(X)
+    eff = model.effective_weights()
+    D = np.full((m, m), np.inf)  # same-class entries stay inf: never impostors
+    for a in range(int(np.searchsorted(later, m))):
+        D[a, later[a] :] = rows.distances(eff, X[a], later[a])
+    np.minimum(D, D.T, out=D)
+    hits_a, hits_b = np.nonzero(D < radius[:, None])
+    hits = np.sort(order[hits_a] * m + order[hits_b])
+    return list(zip((hits // m).tolist(), (hits % m).tolist()))
 
 
 # pairs per block when differencing count rows, which bounds the temporary
 # difference block at this many rows of the vocabulary dimension
 _PAIR_BLOCK = 32
 
+# one block of pairs' differences: the nonzero slots and values of each
+# pair's |X[i] - X[j]| down its own column, slots ascending, padded at the
+# end with slot 0 and value 0.0
+_Block = tuple[np.ndarray, np.ndarray]
+
+
+def _differences(X: np.ndarray, pairs: Sequence[tuple[int, int]]) -> list[_Block]:
+    """|X[i] - X[j]| for each pair, in blocks of ``_PAIR_BLOCK`` pairs."""
+    ij = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    blocks: list[_Block] = []
+    for lo in range(0, len(ij), _PAIR_BLOCK):
+        block = ij[lo : lo + _PAIR_BLOCK]
+        diff = X[block[:, 0]] - X[block[:, 1]]
+        np.abs(diff, out=diff)
+        # row-major order: pair by pair, slots ascending within a pair
+        pair, slot = np.nonzero(diff)
+        sizes = np.bincount(pair, minlength=len(block))
+        depth = np.arange(len(pair)) - (np.cumsum(sizes) - sizes)[pair]
+        slots = np.zeros((sizes.max(initial=0), len(block)), dtype=np.intp)
+        vals = np.zeros(slots.shape)
+        slots[depth, pair] = slot
+        vals[depth, pair] = diff[pair, slot]
+        blocks.append((slots, vals))
+    return blocks
+
 
 class _PairTerms:
-    """Concatenated sparse difference vectors for one pair set.
+    """The nonzero terms of every pair's |x - y|, one column per pair.
 
-    Lets the whole-epoch loss and gradient run as a handful of vectorized
-    reductions instead of per-pair Python loops; results match the per-pair
-    definitions (same index-ascending summation per pair). ``loss`` and
-    ``gradient`` take the pair distances ``d`` from ``distances(w)``, so one
-    distance vector serves both at the same weights.
+    ``slots`` and ``vals`` are C-contiguous ``(max terms) x pairs``
+    arrays: positives first, then negatives, each pair's slots ascending
+    down its column and zero padded at the end. ``distances(w)`` is the
+    axis-0 sum of ``softplus(w)[slots] * vals``, which adds each column's
+    terms one after another in ascending slot order, starting from the
+    first; the padding adds +0.0, which changes no sum. ``gradient`` sums
+    the active pairs' terms per slot in pair order (one ``np.bincount``);
+    an inactive pair's terms would add +0.0, so they are left out. ``loss``
+    and ``gradient`` take the pair distances ``d`` from ``distances(w)``,
+    so one distance vector serves both at the same weights.
     """
 
-    __slots__ = ("n_pos", "n_pairs", "idx", "val", "seg")
+    __slots__ = ("n_pos", "slots", "vals")
 
-    def __init__(self, X: np.ndarray, pairs: PairSet):
-        ij = np.array(pairs.positives + pairs.negatives, dtype=np.int64).reshape(-1, 2)
+    def __init__(self, X: np.ndarray, pairs: PairSet, positives: list[_Block] | None = None):
+        """``positives``, when given, is ``_differences(X, pairs.positives)``
+        taken before, so a fixed positive set is differenced once."""
+        if positives is None:
+            positives = _differences(X, pairs.positives)
+        blocks = positives + _differences(X, pairs.negatives)
         self.n_pos = len(pairs.positives)
-        self.n_pairs = len(ij)
-        idx_parts: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
-        val_parts: list[np.ndarray] = [np.empty(0)]
-        seg_parts: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
-        for lo in range(0, self.n_pairs, _PAIR_BLOCK):
-            block = ij[lo : lo + _PAIR_BLOCK]
-            diff = X[block[:, 0]] - X[block[:, 1]]
-            np.abs(diff, out=diff)
-            # row-major order: pair by pair, indices ascending within a pair
-            seg, idx = np.nonzero(diff)
-            seg_parts.append(seg + lo)
-            idx_parts.append(idx)
-            val_parts.append(diff[seg, idx])
-        self.idx = np.concatenate(idx_parts)
-        self.val = np.concatenate(val_parts)
-        self.seg = np.concatenate(seg_parts)
+        n_pairs = self.n_pos + len(pairs.negatives)
+        depth = max((len(slots) for slots, _ in blocks), default=0)
+        self.slots = np.zeros((depth, n_pairs), dtype=np.intp)
+        self.vals = np.zeros((depth, n_pairs))
+        lo = 0
+        for slots, vals in blocks:
+            hi = lo + slots.shape[1]
+            self.slots[: len(slots), lo:hi] = slots
+            self.vals[: len(vals), lo:hi] = vals
+            lo = hi
 
     def distances(self, w: np.ndarray) -> np.ndarray:
-        return np.bincount(
-            self.seg, weights=softplus(w)[self.idx] * self.val, minlength=self.n_pairs
-        )
+        terms = softplus(w)[self.slots]
+        terms *= self.vals
+        if terms.shape[1] == 1:
+            # numpy sums a lone column pairwise; a running sum keeps the order
+            terms = np.cumsum(terms, axis=0)[-1:]
+        return terms.sum(axis=0)
 
     def loss(self, w: np.ndarray, d: np.ndarray, cfg: TrainConfig) -> float:
         pos = np.maximum(d[: self.n_pos] - cfg.mu1, 0.0).sum()
@@ -200,16 +266,18 @@ class _PairTerms:
         return float(cfg.beta * (w @ w) + pos + neg)
 
     def gradient(self, w: np.ndarray, d: np.ndarray, cfg: TrainConfig) -> np.ndarray:
-        coeff = np.zeros(self.n_pairs)
-        coeff[: self.n_pos][d[: self.n_pos] > cfg.mu1] = 1.0
-        coeff[self.n_pos :][d[self.n_pos :] < cfg.mu2] = -1.0
+        n_pos = self.n_pos
+        positives = np.flatnonzero(d[:n_pos] > cfg.mu1)
+        negatives = n_pos + np.flatnonzero(d[n_pos:] < cfg.mu2)
         grad = 2.0 * cfg.beta * w
-        if len(self.idx):
-            grad += np.bincount(
-                self.idx,
-                weights=sigmoid(w)[self.idx] * self.val * coeff[self.seg],
-                minlength=len(w),
-            )
+        if self.slots.size:
+            act = np.concatenate([positives, negatives])
+            # the active columns as rows: pair by pair, slots ascending
+            slots = self.slots.T[act]
+            weights = sigmoid(w)[slots]
+            weights *= self.vals.T[act]
+            weights[len(positives) :] *= -1.0
+            grad += np.bincount(slots.ravel(), weights=weights.ravel(), minlength=len(w))
         return grad
 
 
@@ -313,6 +381,18 @@ def stratified_subsample(
     return sorted(chosen)
 
 
+def _log_refresh(
+    epoch: int, terms: _PairTerms, w: np.ndarray, d: np.ndarray, cfg: TrainConfig
+) -> None:
+    """One DEBUG line per impostor refresh; nothing is counted unless it is logged."""
+    if log.isEnabledFor(logging.DEBUG):
+        pos, neg = d[: terms.n_pos], d[terms.n_pos :]
+        log.debug(
+            "epoch %d: %d impostors, active hinges %d positive %d negative, loss %.6f",
+            epoch, len(neg), (pos > cfg.mu1).sum(), (neg < cfg.mu2).sum(), terms.loss(w, d, cfg),
+        )
+
+
 def train(
     data: Sequence[LabeledTree],
     shape: GramShape,
@@ -338,21 +418,26 @@ def train(
 
     targets = build_targets(profiles, labels, model, cfg.k)
     negatives = find_impostors(profiles, labels, model, targets, cfg.k)
-    terms = _PairTerms(X, PairSet(targets, negatives))
+    # the targets are fixed, so their differences are taken once
+    positives = _differences(X, targets)
+    terms = _PairTerms(X, PairSet(targets, negatives), positives)
 
     w = model.w.copy()
     # the distances at the current w serve both the loss just recorded and
     # the next epoch's gradient
     d = terms.distances(w)
     trace = [terms.loss(w, d, cfg)]
+    _log_refresh(0, terms, w, d, cfg)
     m1 = np.zeros_like(w)
     m2 = np.zeros_like(w)
     for epoch in range(1, cfg.epochs + 1):
         if epoch > 1 and (epoch - 1) % cfg.impostor_refresh_every == 0:
             model = WeightModel(vocab, w)
             negatives = find_impostors(profiles, labels, model, targets, cfg.k)
-            terms = _PairTerms(X, PairSet(targets, negatives))
+            terms = None  # drop the old terms before the new ones are built
+            terms = _PairTerms(X, PairSet(targets, negatives), positives)
             d = terms.distances(w)
+            _log_refresh(epoch, terms, w, d, cfg)
         g = terms.gradient(w, d, cfg)
         m1 = ADAM_BETA1 * m1 + (1.0 - ADAM_BETA1) * g
         m2 = ADAM_BETA2 * m2 + (1.0 - ADAM_BETA2) * g * g

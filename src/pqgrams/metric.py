@@ -7,7 +7,9 @@ effective weights strictly positive, so the distance stays a pseudo-metric
 
 Every weighted distance, from one pair to a training set or a k-NN
 reference list, comes out of one kernel, ``CountRows.distances``, so pair
-calls, targets, impostors and k-NN see identical distances and ties. Only
+calls, targets, impostors and k-NN see identical distances and ties.
+``paired_distances`` gives the kernel's distance for a list of index pairs
+from dense blocks whose elements and row sums are the kernel's own. Only
 the loss's ``_PairTerms.distances`` sums in another order (last bits can differ).
 """
 
@@ -35,11 +37,9 @@ def softplus(x):
 def sigmoid(x):
     """e^x / (1 + e^x), overflow-safe. Works on scalars and arrays."""
     arr = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(arr)
-    pos = arr >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
-    ex = np.exp(arr[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    # e^-|x| is e^-x for x >= 0 and e^x below: 1 / (1 + e^-x) and e^x / (1 + e^x)
+    ex = np.exp(-np.abs(arr))
+    out = np.where(arr >= 0, 1.0, ex) / (1.0 + ex)
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
@@ -169,6 +169,28 @@ def symmetric_distances(model: WeightModel, X: np.ndarray) -> np.ndarray:
         D[a, a + 1 :] = rows.distances(eff, X[a], a + 1)
     # adding the zero lower triangle is exact: the mirror is bit for bit
     return D + D.T
+
+
+def paired_distances(model: WeightModel, X: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """d[r] = ``pairwise_distances(model, X[i:i+1], X[j:j+1])`` for row ``r = (i, j)``
+    of the ``n x 2`` index array ``pairs``, bit for bit.
+
+    Each block holds ``|X[j] - X[i]| * eff`` for up to half of
+    ``_BLOCK_BYTES`` of pairs (``X[i]`` is gathered beside it), each element
+    the kernel's float (``|0 - x| == |x|``), and each distance is the same
+    sum over one contiguous ``dim``-long row.
+    """
+    eff = model.effective_weights()
+    step = max(1, _BLOCK_BYTES // (16 * X.shape[1]))
+    out = np.empty(len(pairs))
+    for lo in range(0, len(pairs), step):
+        block = pairs[lo : lo + step]
+        diff = X[block[:, 1]]
+        diff -= X[block[:, 0]]
+        np.abs(diff, out=diff)
+        diff *= eff
+        out[lo : lo + len(block)] = diff.sum(axis=1)
+    return out
 
 
 def weighted_distance(model: WeightModel, x: Profile, y: Profile) -> float:

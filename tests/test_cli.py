@@ -56,6 +56,16 @@ def test_missing_data_file_exits_2(capsys):
     assert run(["train", "--data", "/nonexistent.tsv", "--out", "/tmp/x"]) == 2
 
 
+@pytest.mark.parametrize("flag", ["mu1", "mu2", "beta", "eta"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_train_rejects_non_finite_config_values(tmp_path, strings_tsv, capsys, flag, value):
+    out = tmp_path / "model.txt"
+    args = ["train", "--data", strings_tsv, "-k", "1", "--epochs", "2", f"--{flag}={value}"]
+    assert run(args + ["--out", str(out)]) == 2
+    assert f"{flag} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gen_strings_writes_corpus(tmp_path, capsys):
     out = tmp_path / "s.tsv"
     assert run(["gen-strings", "--n", "5", "--seed", "3", "--out", str(out)]) == 0

@@ -1,11 +1,14 @@
+import logging
+import math
 import random
+import re
 
 import numpy as np
 import pytest
 
 from pqgrams.cli import run
 from pqgrams.datasets import gen_strings
-from pqgrams.grams import GramShape, Vocabulary, build_vocabulary, profile
+from pqgrams.grams import GramShape, Vocabulary, build_vocabulary, count_matrix, profile
 from pqgrams.lmnn import (
     LabeledTree,
     ModelFormatError,
@@ -22,7 +25,16 @@ from pqgrams.lmnn import (
     stratified_subsample,
     train,
 )
-from pqgrams.metric import W_INIT, WeightModel, distance_gradient, weighted_distance
+from pqgrams.lmnn import _PairTerms
+from pqgrams.metric import (
+    W_INIT,
+    WeightModel,
+    distance_gradient,
+    pairwise_distances,
+    sigmoid,
+    softplus,
+    weighted_distance,
+)
 from pqgrams.tree import parse_tree
 
 from conftest import random_tree_raw
@@ -57,6 +69,13 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(epochs=-1)
     TrainConfig(epochs=0)  # evaluate-only runs are allowed
+
+
+@pytest.mark.parametrize("name", ["mu1", "mu2", "beta", "eta"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite_values_by_name(name, bad):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        TrainConfig(**{name: bad})
 
 
 def test_config_defaults_match_protocol():
@@ -149,6 +168,48 @@ def test_impostors_match_bruteforce_filter():
                 if labels[j] != labels[i] and dmat[i][j] < radius:
                     expected.append((i, j))
         assert got == expected
+
+
+def one_pair_at_a_time(model, profiles, labels, k):
+    """Targets and impostors from 1x1 ``pairwise_distances`` calls."""
+    X = count_matrix(profiles, model.vocab)
+    m = len(labels)
+    D = [
+        [pairwise_distances(model, X[i : i + 1], X[j : j + 1])[0, 0] for j in range(m)]
+        for i in range(m)
+    ]
+    targets = []
+    for i in range(m):
+        same = [j for j in range(m) if j != i and labels[j] == labels[i]]
+        targets += [(i, j) for j in sorted(same, key=lambda j: (D[i][j], j))[:k]]
+    impostors = []
+    for i in range(m):
+        radius = max(D[i][j] for i2, j in targets if i2 == i)
+        impostors += [(i, j) for j in range(m) if labels[j] != labels[i] and D[i][j] < radius]
+    return targets, impostors
+
+
+def test_pairs_equal_one_pair_at_a_time_route_over_unequal_interleaved_classes():
+    rng = random.Random(17)
+    np_rng = np.random.default_rng(17)
+    for trial in range(4):
+        labels = [2] * 7 + [0] * 4 + [5] * 5  # unequal classes, interleaved below
+        rng.shuffle(labels)
+        trees = [random_tree_raw(rng.randrange(1, 8), rng) for _ in labels]
+        # one tree in two classes, and a copy inside a class for distance ties
+        a = labels.index(2)
+        trees[labels.index(0)] = trees[a]
+        trees[len(labels) - 1 - labels[::-1].index(2)] = trees[a]
+        data = [LabeledTree(t, lab) for t, lab in zip(trees, labels)]
+        vocab, profiles, labels = encode_dataset(data, S12)
+        model = WeightModel(vocab, np_rng.uniform(-2, 2, vocab.dim))
+        for k in (1, 2, 3):
+            want_targets, want_impostors = one_pair_at_a_time(model, profiles, labels, k)
+            targets = build_targets(profiles, labels, model, k)
+            assert targets == want_targets
+            impostors = find_impostors(profiles, labels, model, targets, k)
+            assert impostors == want_impostors
+            assert (labels.index(0), a) in impostors or (a, labels.index(0)) in impostors
 
 
 def test_pair_validity_postcondition():
@@ -262,6 +323,58 @@ def test_loss_gradient_matches_finite_differences_away_from_kinks():
         checked += 1
 
 
+def python_distances(eff, X, ij):
+    """Each pair's sum of eff_i * |x_i - y_i|, left to right over ascending slots."""
+    out = []
+    for i, j in ij:
+        total = 0.0
+        for s in range(X.shape[1]):
+            if X[i, s] != X[j, s]:
+                total += float(eff[s]) * abs(float(X[i, s]) - float(X[j, s]))
+        out.append(total)
+    return np.array(out)
+
+
+def python_gradient(w, X, pairs, d, cfg):
+    """2*beta*w plus, per slot, the active pairs' terms added in pair order."""
+    sig = sigmoid(w)
+    acc = [0.0] * len(w)
+    n_pos = len(pairs.positives)
+    for p, (i, j) in enumerate(pairs.positives + pairs.negatives):
+        sign = (d[p] > cfg.mu1) * 1.0 if p < n_pos else (d[p] < cfg.mu2) * -1.0
+        for s in range(len(w)):
+            if X[i, s] != X[j, s]:
+                acc[s] += float(sig[s]) * abs(float(X[i, s]) - float(X[j, s])) * sign
+    return 2.0 * cfg.beta * w + np.array(acc)
+
+
+def test_pair_terms_sum_in_the_documented_order():
+    rng = random.Random(41)
+    trees = [random_tree_raw(n, rng) for n in (1, 2, 3, 40, 60, 5, 5, 9)]
+    trees.append(trees[4])  # 8 and 4 are identical
+    data = [LabeledTree(t, i % 2) for i, t in enumerate(trees)]
+    trained = train(data, S12, TrainConfig(k=1, epochs=30, seed=2))
+    vocab = trained.vocab
+    X = count_matrix([profile(t, vocab) for t in trees], vocab)
+    pair_sets = [
+        PairSet([(0, 3), (1, 2), (4, 8), (3, 4), (6, 5)], [(0, 4), (2, 7), (5, 3), (7, 8)]),
+        PairSet([(3, 0), (4, 8), (2, 1)], []),  # no negatives
+        PairSet([(0, 4)], []),  # one pair: a single column
+        PairSet([(4, 8)], [(8, 4)]),  # identical trees only: no terms at all
+    ]
+    weights = [trained.model.w, np.random.default_rng(41).uniform(-3, 3, vocab.dim)]
+    for w in weights:
+        for pairs in pair_sets:
+            terms = _PairTerms(X, pairs)
+            d = terms.distances(w)
+            ij = pairs.positives + pairs.negatives
+            assert d.tobytes() == python_distances(softplus(w), X, ij).tobytes()
+            # margins between the distances, so some hinges are active and some not
+            cfg = TrainConfig(mu1=float(np.median(d)), mu2=float(np.median(d)), beta=1e-3)
+            want = python_gradient(w, X, pairs, d, cfg)
+            assert terms.gradient(w, d, cfg).tobytes() == want.tobytes()
+
+
 # --- subsampling ------------------------------------------------------------
 
 
@@ -318,6 +431,37 @@ def test_train_reduces_loss():
     trained = train(data, GramShape(2, 2), TrainConfig(k=1, epochs=120, seed=5))
     assert trained.final_loss < trained.initial_loss
     assert len(trained.loss_trace) == 121
+
+
+REFRESH_LINE = re.compile(
+    r"epoch (\d+): (\d+) impostors, active hinges (\d+) positive (\d+) negative, loss (\S+)$"
+)
+
+
+def test_train_logs_each_impostor_refresh_at_debug(caplog):
+    data = strings_subset()
+    cfg = TrainConfig(k=1, epochs=5, impostor_refresh_every=2, seed=3)
+    train(data, GramShape(2, 2), cfg)
+    assert [r for r in caplog.records if r.name == "pqgrams"] == []  # silent by default
+
+    with caplog.at_level(logging.DEBUG, logger="pqgrams"):
+        trained = train(data, GramShape(2, 2), cfg)
+    records = [r for r in caplog.records if r.name == "pqgrams"]
+    assert [r.levelno for r in records] == [logging.DEBUG] * 3
+    fields = [REFRESH_LINE.match(r.getMessage()).groups() for r in records]
+    assert [int(f[0]) for f in fields] == [0, 3, 5]
+    assert fields[0][4] == f"{trained.initial_loss:.6f}"
+
+    # the first refresh is at the initial weights, where distances are integers
+    vocab, profiles, labels = encode_dataset(data, GramShape(2, 2))
+    model = WeightModel.initial(vocab)
+    targets = build_targets(profiles, labels, model, 1)
+    impostors = find_impostors(profiles, labels, model, targets, 1)
+    def dist(pair):
+        return weighted_distance(model, profiles[pair[0]], profiles[pair[1]])
+    assert int(fields[0][1]) == len(impostors)
+    assert int(fields[0][2]) == sum(dist(p) > cfg.mu1 for p in targets)
+    assert int(fields[0][3]) == sum(dist(p) < cfg.mu2 for p in impostors)
 
 
 def test_train_rejects_degenerate_data():
@@ -444,6 +588,17 @@ def test_non_finite_weights_rejected_with_line_number(tmp_path, bad):
     oov_line.write_text(f"pqgram-model v1 p=1 q=2 dim=2\na\t*\t*\t0.5\nOOV {bad}\n")
     with pytest.raises(ModelFormatError, match=r":3: non-finite weight"):
         load_model(oov_line)
+
+
+def test_non_finite_config_comment_rejected_with_line_number(tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_text(
+        "pqgram-model v1 p=1 q=2 dim=1\n"
+        "# config k=1 mu1=inf mu2=5.0 beta=0.0 eta=0.01 epochs=1 refresh=1 cap=5 seed=0\n"
+        "OOV 0.5\n"
+    )
+    with pytest.raises(ModelFormatError, match=r":2: bad config comment \(mu1 must be finite"):
+        load_model(path)
 
 
 def test_malformed_loss_and_oov_lines_rejected(tmp_path):

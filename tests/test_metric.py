@@ -17,6 +17,7 @@ from pqgrams.metric import (
     W_INIT,
     WeightModel,
     distance_gradient,
+    paired_distances,
     pairwise_distances,
     pq_distance,
     sigmoid,
@@ -57,6 +58,22 @@ def test_softplus_sigmoid_vectorized():
     # scalar path must agree bit-for-bit with the vector path
     assert softplus(1.0) == sp[3]
     assert sigmoid(1.0) == sg[3]
+
+
+def two_branch_sigmoid(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_equals_two_branch_formula_bit_for_bit():
+    edges = [0.0, -0.0, 5e-324, -5e-324, 36.0, -36.0, 745.0, -745.0, 800.0, -800.0, np.inf, -np.inf]
+    xs = np.concatenate([np.random.default_rng(7).normal(0.0, 8.0, 1001), edges])
+    assert sigmoid(xs).tobytes() == two_branch_sigmoid(xs).tobytes()
+    assert [sigmoid(float(x)) for x in edges] == two_branch_sigmoid(np.array(edges)).tolist()
 
 
 def test_pq_distance_golden():
@@ -261,3 +278,25 @@ def test_kernel_equals_dense_formula_bit_for_bit():
             assert symmetric_distances(model, X).tobytes() == dense_formula(model, X, X).tobytes()
             for A, B in ((X, Y), (X[1:2], Y), (X, Y[:1]), (X[:1], Y[2:3])):
                 assert pairwise_distances(model, A, B).tobytes() == dense_formula(model, A, B).tobytes()
+
+
+def test_paired_distances_equal_pair_calls_bit_for_bit():
+    rng = random.Random(43)
+    np_rng = np.random.default_rng(43)
+    for trial in range(6):
+        ts = [random_tree_raw(rng.randrange(1, 25), rng) for _ in range(rng.randrange(2, 14))]
+        v = build_vocabulary(ts, S12)
+        X = count_matrix([profile(t, v) for t in ts], v)
+        model = WeightModel(v, np_rng.uniform(-4, 4, v.dim))
+        pairs = np.array([rng.randrange(len(ts)) for _ in range(2 * trial * 7)]).reshape(-1, 2)
+        want = [pairwise_distances(model, X[i : i + 1], X[j : j + 1])[0, 0] for i, j in pairs]
+        assert paired_distances(model, X, pairs).tobytes() == np.array(want).tobytes()
+    # more pairs than one block holds, over a wide vocabulary
+    dim = 3001
+    v = Vocabulary(S12, [(f"l{i}", "*", "*") for i in range(dim - 1)])
+    model = WeightModel(v, np_rng.uniform(-4, 4, dim))
+    X = (np_rng.integers(0, 5, (12, dim)) * (np_rng.random((12, dim)) < 0.3)).astype(np.float64)
+    pairs = np_rng.integers(0, 12, (150, 2))
+    assert len(pairs) > _BLOCK_BYTES // (8 * dim)
+    want = [pairwise_distances(model, X[i : i + 1], X[j : j + 1])[0, 0] for i, j in pairs]
+    assert paired_distances(model, X, pairs).tobytes() == np.array(want).tobytes()

@@ -95,10 +95,10 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 configs = st.builds(
     TrainConfig,
     k=st.integers(1, 10**6),
-    mu1=st.floats(min_value=0.0, allow_nan=False),
-    mu2=st.floats(min_value=0.0, allow_nan=False),
-    beta=st.floats(min_value=0.0, allow_nan=False),
-    eta=st.floats(min_value=0.0, exclude_min=True, allow_nan=False),
+    mu1=st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+    mu2=st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+    beta=st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+    eta=st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_infinity=False),
     epochs=st.integers(0, 10**6),
     impostor_refresh_every=st.integers(1, 10**6),
     subsample_cap=st.integers(1, 10**6),
