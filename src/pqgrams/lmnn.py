@@ -14,14 +14,19 @@ the pairs it reads, all through the kernel in ``metric``: targets from one
 symmetric matrix per class, and at each impostor refresh the target pairs
 (for the radii) plus the pairs of different classes, never the other
 same-class pairs. The loss holds each pair's nonzero |x - y| terms in one
-column of a zero-padded array; the targets' terms are differenced once per
-run, the impostors' at each refresh. A pair's loss distance adds its terms
-one after another in ascending slot order, so it can differ from the
-kernel's pairwise row sum in the last bits; the gradient adds the active
-pairs' terms per slot in pair order.
+column of a zero-padded array: the targets' built once per run, the
+impostors' at each refresh. A pair's loss distance adds its terms one after
+another in ascending slot order, so it can differ from the kernel's
+pairwise row sum in the last bits.
+
+The gradient is 2*beta*w + sigmoid(w) * c, where c sums the active
+positives' |x - y| less the active negatives'. Those are integer counts, so
+c is exact in float64 in any order and the gradient is rounded once. c is
+kept across epochs and moved only by the hinges that change sides.
 
 Each refresh logs one DEBUG line to the ``pqgrams`` logger: the epoch, the
-impostor count, the active positive and negative hinges and the loss.
+impostor count, the active positive and negative hinges, the loss, the
+hinges that changed sides since the previous refresh and the gradient norm.
 """
 
 from __future__ import annotations
@@ -187,78 +192,82 @@ def find_impostors(
     return list(zip((hits // m).tolist(), (hits % m).tolist()))
 
 
-# pairs per block when differencing count rows, which bounds the temporary
-# difference block at this many rows of the vocabulary dimension
+# pairs per block when comparing count rows, which bounds the temporary
+# comparison block at this many rows of the vocabulary dimension
 _PAIR_BLOCK = 32
 
-# one block of pairs' differences: the nonzero slots and values of each
-# pair's |X[i] - X[j]| down its own column, slots ascending, padded at the
-# end with slot 0 and value 0.0
-_Block = tuple[np.ndarray, np.ndarray]
 
+class _Columns:
+    """Each pair's nonzero |x - y| terms down one column of zero-padded
+    ``(max terms) x pairs`` arrays, slots ascending, and ``c``: per slot, the
+    exact integer sum of the active columns, kept from one mask to the next."""
 
-def _differences(X: np.ndarray, pairs: Sequence[tuple[int, int]]) -> list[_Block]:
-    """|X[i] - X[j]| for each pair, in blocks of ``_PAIR_BLOCK`` pairs."""
-    ij = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-    blocks: list[_Block] = []
-    for lo in range(0, len(ij), _PAIR_BLOCK):
-        block = ij[lo : lo + _PAIR_BLOCK]
-        diff = X[block[:, 0]] - X[block[:, 1]]
-        np.abs(diff, out=diff)
-        # row-major order: pair by pair, slots ascending within a pair
-        pair, slot = np.nonzero(diff)
-        sizes = np.bincount(pair, minlength=len(block))
+    __slots__ = ("slots", "vals", "active", "c")
+
+    def __init__(self, X: np.ndarray, pairs: Sequence[tuple[int, int]]):
+        ij = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        dim = X.shape[1]
+        # flat pair * dim + slot of each nonzero |x - y|, row-major: pair by
+        # pair, slots ascending; the empty seed gives no pairs no terms
+        flat = [np.zeros(0, np.intp)]
+        for lo in range(0, len(ij), _PAIR_BLOCK):
+            block = ij[lo : lo + _PAIR_BLOCK]
+            flat.append(lo * dim + np.flatnonzero(X[block[:, 0]] != X[block[:, 1]]))
+        pair, slot = np.divmod(np.concatenate(flat), dim)
+        sizes = np.bincount(pair, minlength=len(ij))
         depth = np.arange(len(pair)) - (np.cumsum(sizes) - sizes)[pair]
-        slots = np.zeros((sizes.max(initial=0), len(block)), dtype=np.intp)
-        vals = np.zeros(slots.shape)
-        slots[depth, pair] = slot
-        vals[depth, pair] = diff[pair, slot]
-        blocks.append((slots, vals))
-    return blocks
+        self.slots = np.zeros((sizes.max(initial=0), len(ij)), dtype=np.intp)
+        self.vals = np.zeros(self.slots.shape)
+        self.slots[depth, pair] = slot
+        self.vals[depth, pair] = np.abs(X[ij[pair, 0], slot] - X[ij[pair, 1], slot])
+        self.active: np.ndarray | None = None  # no mask yet: c is built from nothing
+        self.c = np.zeros(dim)
 
-
-class _PairTerms:
-    """The nonzero terms of every pair's |x - y|, one column per pair.
-
-    ``slots`` and ``vals`` are C-contiguous ``(max terms) x pairs``
-    arrays: positives first, then negatives, each pair's slots ascending
-    down its column and zero padded at the end. ``distances(w)`` is the
-    axis-0 sum of ``softplus(w)[slots] * vals``, which adds each column's
-    terms one after another in ascending slot order, starting from the
-    first; the padding adds +0.0, which changes no sum. ``gradient`` sums
-    the active pairs' terms per slot in pair order (one ``np.bincount``);
-    an inactive pair's terms would add +0.0, so they are left out. ``loss``
-    and ``gradient`` take the pair distances ``d`` from ``distances(w)``,
-    so one distance vector serves both at the same weights.
-    """
-
-    __slots__ = ("n_pos", "slots", "vals")
-
-    def __init__(self, X: np.ndarray, pairs: PairSet, positives: list[_Block] | None = None):
-        """``positives``, when given, is ``_differences(X, pairs.positives)``
-        taken before, so a fixed positive set is differenced once."""
-        if positives is None:
-            positives = _differences(X, pairs.positives)
-        blocks = positives + _differences(X, pairs.negatives)
-        self.n_pos = len(pairs.positives)
-        n_pairs = self.n_pos + len(pairs.negatives)
-        depth = max((len(slots) for slots, _ in blocks), default=0)
-        self.slots = np.zeros((depth, n_pairs), dtype=np.intp)
-        self.vals = np.zeros((depth, n_pairs))
-        lo = 0
-        for slots, vals in blocks:
-            hi = lo + slots.shape[1]
-            self.slots[: len(slots), lo:hi] = slots
-            self.vals[: len(vals), lo:hi] = vals
-            lo = hi
-
-    def distances(self, w: np.ndarray) -> np.ndarray:
-        terms = softplus(w)[self.slots]
+    def distances(self, eff: np.ndarray) -> np.ndarray:
+        """Each column's sum of ``eff[slot] * val``, terms added one after
+        another from the first; the padding adds +0.0, which changes no sum."""
+        terms = eff[self.slots]
         terms *= self.vals
         if terms.shape[1] == 1:
             # numpy sums a lone column pairwise; a running sum keeps the order
             terms = np.cumsum(terms, axis=0)[-1:]
         return terms.sum(axis=0)
+
+    def update(self, active: np.ndarray) -> int:
+        """Make ``active`` the active mask and move ``c`` with it: add the
+        columns that switched on, subtract those that switched off. Returns
+        how many changed sides; the first mask builds ``c`` and counts 0."""
+        fresh = self.active is None
+        changed = np.flatnonzero(active != (np.zeros_like(active) if fresh else self.active))
+        if changed.size:
+            vals = self.vals[:, changed] * np.where(active[changed], 1.0, -1.0)
+            self.c += np.bincount(self.slots[:, changed].ravel(), vals.ravel(), self.c.size)
+        self.active = active
+        return 0 if fresh else changed.size
+
+
+class _PairTerms:
+    """Loss and gradient over the positives' ``_Columns``, built once, and
+    the negatives', which ``refresh`` replaces. ``loss`` and ``gradient`` take
+    ``d = distances(w)``, positives first, each its column's sum in order. A
+    hinge at its kink is inactive; ``flips`` counts hinges that changed sides."""
+
+    __slots__ = ("n_pos", "pos", "neg", "flips")
+
+    def __init__(self, X: np.ndarray, pairs: PairSet):
+        self.n_pos = len(pairs.positives)
+        self.pos = _Columns(X, pairs.positives)
+        self.neg = _Columns(X, pairs.negatives)
+        self.flips = 0
+
+    def refresh(self, X: np.ndarray, negatives: Sequence[tuple[int, int]]) -> None:
+        """Replace the negatives; the positives and their part of ``c`` stay."""
+        self.neg = None  # drop the old columns before the new ones are built
+        self.neg = _Columns(X, negatives)
+
+    def distances(self, w: np.ndarray) -> np.ndarray:
+        eff = softplus(w)
+        return np.concatenate([self.pos.distances(eff), self.neg.distances(eff)])
 
     def loss(self, w: np.ndarray, d: np.ndarray, cfg: TrainConfig) -> float:
         pos = np.maximum(d[: self.n_pos] - cfg.mu1, 0.0).sum()
@@ -266,19 +275,9 @@ class _PairTerms:
         return float(cfg.beta * (w @ w) + pos + neg)
 
     def gradient(self, w: np.ndarray, d: np.ndarray, cfg: TrainConfig) -> np.ndarray:
-        n_pos = self.n_pos
-        positives = np.flatnonzero(d[:n_pos] > cfg.mu1)
-        negatives = n_pos + np.flatnonzero(d[n_pos:] < cfg.mu2)
-        grad = 2.0 * cfg.beta * w
-        if self.slots.size:
-            act = np.concatenate([positives, negatives])
-            # the active columns as rows: pair by pair, slots ascending
-            slots = self.slots.T[act]
-            weights = sigmoid(w)[slots]
-            weights *= self.vals.T[act]
-            weights[len(positives) :] *= -1.0
-            grad += np.bincount(slots.ravel(), weights=weights.ravel(), minlength=len(w))
-        return grad
+        self.flips += self.pos.update(d[: self.n_pos] > cfg.mu1)
+        self.flips += self.neg.update(d[self.n_pos :] < cfg.mu2)
+        return 2.0 * cfg.beta * w + sigmoid(w) * (self.pos.c - self.neg.c)
 
 
 def loss(
@@ -298,10 +297,7 @@ def loss_gradient(
     pairs: PairSet,
     cfg: TrainConfig,
 ) -> np.ndarray:
-    """2*beta*w plus distance gradients of active pairs (+ positives, - negatives).
-
-    A hinge sitting exactly at its kink counts as inactive.
-    """
+    """2*beta*w + sigmoid(w) * c over the active pairs; a hinge at its kink is inactive."""
     terms = _PairTerms(count_matrix(profiles, model.vocab), pairs)
     return terms.gradient(model.w, terms.distances(model.w), cfg)
 
@@ -384,13 +380,18 @@ def stratified_subsample(
 def _log_refresh(
     epoch: int, terms: _PairTerms, w: np.ndarray, d: np.ndarray, cfg: TrainConfig
 ) -> None:
-    """One DEBUG line per impostor refresh; nothing is counted unless it is logged."""
+    """One DEBUG line per impostor refresh; nothing is computed for it unless
+    it is logged. Its gradient is the next epoch's: the same bits, as c is exact."""
     if log.isEnabledFor(logging.DEBUG):
         pos, neg = d[: terms.n_pos], d[terms.n_pos :]
+        norm = float(np.linalg.norm(terms.gradient(w, d, cfg)))
         log.debug(
-            "epoch %d: %d impostors, active hinges %d positive %d negative, loss %.6f",
-            epoch, len(neg), (pos > cfg.mu1).sum(), (neg < cfg.mu2).sum(), terms.loss(w, d, cfg),
+            "epoch %d: %d impostors, active hinges %d positive %d negative, loss %.6f, "
+            "%d changed sides, gradient norm %.6g",
+            epoch, len(neg), (pos > cfg.mu1).sum(), (neg < cfg.mu2).sum(),
+            terms.loss(w, d, cfg), terms.flips, norm,
         )
+        terms.flips = 0
 
 
 def train(
@@ -418,9 +419,7 @@ def train(
 
     targets = build_targets(profiles, labels, model, cfg.k)
     negatives = find_impostors(profiles, labels, model, targets, cfg.k)
-    # the targets are fixed, so their differences are taken once
-    positives = _differences(X, targets)
-    terms = _PairTerms(X, PairSet(targets, negatives), positives)
+    terms = _PairTerms(X, PairSet(targets, negatives))
 
     w = model.w.copy()
     # the distances at the current w serve both the loss just recorded and
@@ -433,9 +432,7 @@ def train(
     for epoch in range(1, cfg.epochs + 1):
         if epoch > 1 and (epoch - 1) % cfg.impostor_refresh_every == 0:
             model = WeightModel(vocab, w)
-            negatives = find_impostors(profiles, labels, model, targets, cfg.k)
-            terms = None  # drop the old terms before the new ones are built
-            terms = _PairTerms(X, PairSet(targets, negatives), positives)
+            terms.refresh(X, find_impostors(profiles, labels, model, targets, cfg.k))
             d = terms.distances(w)
             _log_refresh(epoch, terms, w, d, cfg)
         g = terms.gradient(w, d, cfg)

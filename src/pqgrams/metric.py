@@ -10,7 +10,8 @@ reference list, comes out of one kernel, ``CountRows.distances``, so pair
 calls, targets, impostors and k-NN see identical distances and ties.
 ``paired_distances`` gives the kernel's distance for a list of index pairs
 from dense blocks whose elements and row sums are the kernel's own. Only
-the loss's ``_PairTerms.distances`` sums in another order (last bits can differ).
+the loss's ``_PairTerms.distances`` sums in another order (last bits can
+differ); the loss gradient sums integer counts, exactly, in no set order.
 """
 
 from __future__ import annotations

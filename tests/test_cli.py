@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from pqgrams.cli import _config_from_args, build_parser, run
@@ -189,3 +194,14 @@ def test_wpq_shape_flags_must_match_the_model(tmp_path, strings_tsv, capsys, com
     assert "p=2, q=2" in err and "-p 1 -q 1" in err
     assert "pq(" not in out  # nothing was timed
     assert run(base + ["-p", "2", "-q", "2"]) == 0
+
+
+def test_python_dash_m_runs_from_a_source_checkout(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-m", "pqgrams", "--help"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert "gen-strings" in out.stdout

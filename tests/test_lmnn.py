@@ -336,16 +336,15 @@ def python_distances(eff, X, ij):
 
 
 def python_gradient(w, X, pairs, d, cfg):
-    """2*beta*w plus, per slot, the active pairs' terms added in pair order."""
-    sig = sigmoid(w)
-    acc = [0.0] * len(w)
+    """2*beta*w + sigmoid(w) * c, where c is, per slot, the Python integer sum
+    of the active positives' |x - y| minus the active negatives'."""
+    c = [0] * len(w)
     n_pos = len(pairs.positives)
     for p, (i, j) in enumerate(pairs.positives + pairs.negatives):
-        sign = (d[p] > cfg.mu1) * 1.0 if p < n_pos else (d[p] < cfg.mu2) * -1.0
+        sign = int(d[p] > cfg.mu1) if p < n_pos else -int(d[p] < cfg.mu2)
         for s in range(len(w)):
-            if X[i, s] != X[j, s]:
-                acc[s] += float(sig[s]) * abs(float(X[i, s]) - float(X[j, s])) * sign
-    return 2.0 * cfg.beta * w + np.array(acc)
+            c[s] += sign * abs(int(X[i, s]) - int(X[j, s]))
+    return 2 * cfg.beta * w + sigmoid(w) * np.array(c, dtype=np.float64)
 
 
 def test_pair_terms_sum_in_the_documented_order():
@@ -373,6 +372,61 @@ def test_pair_terms_sum_in_the_documented_order():
             cfg = TrainConfig(mu1=float(np.median(d)), mu2=float(np.median(d)), beta=1e-3)
             want = python_gradient(w, X, pairs, d, cfg)
             assert terms.gradient(w, d, cfg).tobytes() == want.tobytes()
+
+
+def int_oracle_c(X, pairs, d, cfg):
+    """Per slot, the int64 sum of the active positives' |x - y| minus the active negatives'."""
+    Xi = X.astype(np.int64)
+    c = np.zeros(X.shape[1], dtype=np.int64)
+    n_pos = len(pairs.positives)
+    for p, (i, j) in enumerate(pairs.positives + pairs.negatives):
+        active = d[p] > cfg.mu1 if p < n_pos else d[p] < cfg.mu2
+        c += (1 if p < n_pos else -1) * active * np.abs(Xi[i] - Xi[j])
+    return c
+
+
+def test_pair_terms_keep_an_exact_running_sum_across_epochs():
+    rng = random.Random(43)
+    np_rng = np.random.default_rng(43)
+    trees = [random_tree_raw(n, rng) for n in (2, 4, 30, 50, 7, 7, 12, 20)]
+    trees.append(trees[3])  # 8 and 3 are identical
+    vocab = build_vocabulary(trees, S12)
+    X = count_matrix([profile(t, vocab) for t in trees], vocab)
+    w = np_rng.uniform(-3, 3, vocab.dim)
+    cfg = TrainConfig(mu1=10.0, mu2=20.0, beta=1e-3)
+    pair_sets = [
+        PairSet([(0, 2), (1, 3), (4, 5), (6, 7), (3, 8)], [(0, 3), (2, 6), (5, 7), (8, 1)]),
+        PairSet([(2, 0), (3, 8), (7, 1)], []),  # no negatives
+        PairSet([(0, 3)], []),  # one pair: a single column
+        PairSet([(3, 8)], [(8, 3)]),  # identical trees only: no terms at all
+    ]
+    for pairs in pair_sets:
+        n_pos, n = len(pairs.positives), len(pairs.positives) + len(pairs.negatives)
+        margins = np.array([cfg.mu1] * n_pos + [cfg.mu2] * (n - n_pos))
+        # each hinge on, off or exactly at its kink (inactive), then the first set again
+        steps = [margins + np_rng.choice([-1.0, 0.0, 1.0], n) for _ in range(12)]
+        steps.append(steps[0])
+        terms = _PairTerms(X, pairs)
+        flips, before = 0, None
+        for d in steps:
+            got = terms.gradient(w, d, cfg)
+            assert got.tobytes() == _PairTerms(X, pairs).gradient(w, d, cfg).tobytes()
+            assert got.tobytes() == python_gradient(w, X, pairs, d, cfg).tobytes()
+            assert np.array_equal(terms.pos.c - terms.neg.c, int_oracle_c(X, pairs, d, cfg))
+            now = np.concatenate([d[:n_pos] > cfg.mu1, d[n_pos:] < cfg.mu2])
+            flips += 0 if before is None else int((now != before).sum())
+            before = now
+            assert terms.flips == flips
+
+
+def test_train_with_a_refresh_every_epoch_is_byte_identical_on_repeat():
+    data = strings_subset(20, seed=6)
+    cfg = TrainConfig(k=1, epochs=40, impostor_refresh_every=1, seed=6)
+    a = train(data, GramShape(2, 2), cfg)
+    b = train(data, GramShape(2, 2), cfg)
+    assert a.model.w.tobytes() == b.model.w.tobytes()
+    assert a.loss_trace == b.loss_trace
+    assert a.final_loss < a.initial_loss
 
 
 # --- subsampling ------------------------------------------------------------
@@ -434,7 +488,8 @@ def test_train_reduces_loss():
 
 
 REFRESH_LINE = re.compile(
-    r"epoch (\d+): (\d+) impostors, active hinges (\d+) positive (\d+) negative, loss (\S+)$"
+    r"epoch (\d+): (\d+) impostors, active hinges (\d+) positive (\d+) negative, loss (\S+), "
+    r"(\d+) changed sides, gradient norm (\S+)$"
 )
 
 
@@ -462,6 +517,22 @@ def test_train_logs_each_impostor_refresh_at_debug(caplog):
     assert int(fields[0][1]) == len(impostors)
     assert int(fields[0][2]) == sum(dist(p) > cfg.mu1 for p in targets)
     assert int(fields[0][3]) == sum(dist(p) < cfg.mu2 for p in impostors)
+    assert int(fields[0][5]) == 0
+    g = loss_gradient(model, profiles, PairSet(targets, impostors), cfg)
+    assert fields[0][6] == f"{np.linalg.norm(g):.6g}"
+
+
+def test_refresh_lines_count_the_hinges_that_changed_sides(caplog):
+    data = strings_subset(20, seed=0)
+    cfg = TrainConfig(k=1, epochs=200, seed=3)
+    with caplog.at_level(logging.DEBUG, logger="pqgrams"):
+        logged = train(data, GramShape(2, 2), cfg)
+    records = [r for r in caplog.records if r.name == "pqgrams"]
+    fields = [REFRESH_LINE.match(r.getMessage()).groups() for r in records]
+    assert [int(f[0]) for f in fields] == [0, 51, 101, 151]
+    assert sum(int(f[5]) for f in fields) > 0  # the active set moves on strings
+    # the logged gradients change no bit of training
+    assert logged.model.w.tobytes() == train(data, GramShape(2, 2), cfg).model.w.tobytes()
 
 
 def test_train_rejects_degenerate_data():
