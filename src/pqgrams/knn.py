@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grams import GramShape, Vocabulary, count_matrix, profile
+from .grams import GramShape, count_matrix, encode_trees, profile
 from .lmnn import LabeledTree, TrainedModel
 from .metric import _BLOCK_BYTES, CountRows, WeightModel, weighted_distance  # noqa: F401
 from .ted import tree_edit_distance
@@ -109,10 +109,15 @@ def weighted_gram_distance(model: WeightModel | TrainedModel) -> GramDistance:
 
 def unweighted_gram_distance(train_trees: Sequence[Tree], shape: GramShape) -> GramDistance:
     """Plain gram distance over a vocabulary built from the training trees:
-    the weighted distance at initial weights, which equals it exactly."""
-    vocab = Vocabulary.from_trees(train_trees, shape)
+    the weighted distance at initial weights, which equals it exactly. Each
+    training tree's grams are extracted once, for the vocabulary and its
+    cached profile alike."""
+    train_trees = list(train_trees)
+    vocab, profiles = encode_trees(train_trees, shape)
     dist = weighted_gram_distance(WeightModel.initial(vocab))
     dist.name = f"pq(p={shape.p},q={shape.q})"
+    dist._cache.update(zip(map(id, train_trees), profiles))
+    dist._keep.extend(train_trees)
     return dist
 
 

@@ -157,6 +157,33 @@ def test_cross_validate_with_learned_distance_epochs_zero_matches_plain():
     assert r_plain.predictions == r_learned.predictions
 
 
+def test_e1_extracts_each_tree_once_per_fold(monkeypatch):
+    from pqgrams import grams
+
+    data = [LabeledTree(random_tree(12, random.Random(i), attach_window=3), i % 3) for i in range(30)]
+
+    def profiled_once(train_items):
+        # the plain distance built the old way: a vocabulary, then every
+        # training tree profiled again on first use
+        vocab = Vocabulary.from_trees([it.tree for it in train_items], S22)
+        return weighted_gram_distance(WeightModel.initial(vocab))
+
+    before = cross_validate(data, profiled_once, k=3, folds=5, seed=4)
+    calls = Counter()
+    extract = grams.extract_grams
+
+    def counted(t, shape):
+        calls[id(t)] += 1
+        return extract(t, shape)
+
+    monkeypatch.setattr(grams, "extract_grams", counted)
+    after = cross_validate(data, pq_dist_for, k=3, folds=5, seed=4)
+    # every tree is a training or a test tree of each fold, encoded once there
+    assert calls == Counter({id(it.tree): 5 for it in data})
+    assert after.predictions == before.predictions
+    assert after.fold_errors == before.fold_errors
+
+
 def test_threads_do_not_change_results():
     data = gen_strings(8, seed=2).items
     r1 = cross_validate(data, pq_dist_for, k=1, folds=4, seed=5, threads=1)

@@ -3,8 +3,9 @@ import random
 
 import pytest
 
+from pqgrams import ted
 from pqgrams.datasets import random_tree
-from pqgrams.ted import EditCostTable, tree_edit_distance
+from pqgrams.ted import UNIT_COSTS, EditCostTable, tree_edit_distance
 from pqgrams.tree import Node, Tree, parse_tree, tree_size
 
 from conftest import random_tree_raw, tree_from_parents
@@ -168,3 +169,94 @@ def test_mapping_oracle_matches_exhaustive():
         assert unit(a, b) == ted_exhaustive(a, b)
         if k % 6 == 0:
             assert cheap(a, b) == ted_exhaustive(a, b, insert=0.25, delete=1.0)
+
+
+INF = float("inf")
+ODD_COSTS = EditCostTable(insert=0.3, delete=0.7, relabel=lambda a, b: 0.0 if a == b else 0.45)
+
+
+@pytest.fixture
+def numpy_rows(monkeypatch):
+    """Every off-path row of every pair with one runs as a numpy pass."""
+    monkeypatch.setattr(ted, "_VECTOR_WIDTH", 0)
+
+
+def bushy_pairs(seed, count, max_nodes):
+    rng = random.Random(seed)
+    for _ in range(count):
+        # most trees of three or more nodes have a second child somewhere,
+        # and with it off-path rows
+        a = random_tree_raw(rng.randrange(3, max_nodes + 1), rng)
+        b = random_tree_raw(rng.randrange(1, max_nodes + 1), rng)
+        yield a, b
+
+
+@pytest.mark.parametrize("insert, delete", [(1.0, 1.0), (0.25, 1.0), (1.0, INF)])
+def test_numpy_rows_match_exhaustive(numpy_rows, insert, delete):
+    costs = EditCostTable(insert=insert, delete=delete)
+    for a, b in bushy_pairs(7, 150, 6):
+        assert tree_edit_distance(a, b, costs) == ted_exhaustive(a, b, insert=insert, delete=delete)
+
+
+def test_numpy_rows_forbid_inserts(numpy_rows):
+    # the oracle itself turns inf * 0 into NaN under insert=inf, so check
+    # the transposed pair, where the same mappings cost delete=inf
+    costs = EditCostTable(insert=INF)
+    for a, b in bushy_pairs(8, 150, 6):
+        assert tree_edit_distance(a, b, costs) == ted_exhaustive(b, a, delete=INF)
+    both = EditCostTable(insert=INF, delete=INF)
+    a = random_tree(30, random.Random(9), attach_window=2)
+    assert tree_edit_distance(a, a, both) == 0.0
+    assert tree_edit_distance(a, mirror(a), both) == INF
+
+
+@pytest.mark.parametrize("window", [None, 2, 4])
+def test_numpy_rows_equal_scalar_rows_bit_for_bit(monkeypatch, window):
+    rng = random.Random(10 + (window or 0))
+    swap = EditCostTable(insert=1.0, delete=0.25)
+    for _ in range(5):
+        a = random_tree(rng.randrange(20, 81), rng, attach_window=window)
+        b = random_tree(rng.randrange(20, 81), rng, attach_window=window)
+        seen = []
+        for width in (10**9, 0):
+            monkeypatch.setattr(ted, "_VECTOR_WIDTH", width)
+            for costs in (UNIT_COSTS, CHEAP_INSERT):
+                d = tree_edit_distance(a, b, costs)
+                assert d == tree_edit_distance(mirror(a), mirror(b), costs)
+                seen.append(d)
+            # swapping the trees swaps the roles of insert and delete
+            assert tree_edit_distance(a, b, CHEAP_INSERT) == tree_edit_distance(b, a, swap)
+            seen.append(tree_edit_distance(a, b, ODD_COSTS))
+        assert seen[:2] == seen[3:5]
+        # non-dyadic costs round differently in the scan, whose ramp and
+        # segment offsets reach some 1e4 times the distances; gaps measured
+        # up to 160 nodes stay under 4e-13
+        assert seen[5] == pytest.approx(seen[2], rel=1e-9)
+
+
+def test_offsets_past_2_to_the_53_run_the_scalar_rows(monkeypatch):
+    # the distances stay exact integers, but segment offsets of some 2**55
+    # would round away single inserts in the scan
+    rng = random.Random(12)
+    costs = EditCostTable(insert=1.0, delete=2.0**45)
+    for _ in range(5):
+        a = random_tree(rng.randrange(20, 41), rng, attach_window=4)
+        b = random_tree(rng.randrange(20, 41), rng, attach_window=4)
+        seen = []
+        for width in (10**9, 0):
+            monkeypatch.setattr(ted, "_VECTOR_WIDTH", width)
+            seen.append(tree_edit_distance(a, b, costs))
+        assert seen[0] == seen[1]
+
+
+def test_pairs_without_off_path_rows_never_touch_numpy(monkeypatch):
+    chain = parse_tree("a(b(c(d(e(f(g(h(i))))))))")
+    pairs = [
+        (chain, parse_tree("b(a(c(d(b(f(a(h(c))))))))")),
+        # only the first tree's rows can be off-path: a chain against a bushy tree
+        (chain, parse_tree("a(b,c(d,e),f(g,h,i))")),
+    ]
+    expected = [tree_edit_distance(a, b) for a, b in pairs]
+    monkeypatch.setattr(ted, "_VECTOR_WIDTH", 0)
+    monkeypatch.setattr(ted, "np", None)
+    assert [tree_edit_distance(a, b) for a, b in pairs] == expected
