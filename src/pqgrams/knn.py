@@ -17,7 +17,7 @@ import numpy as np
 
 from .grams import GramShape, count_matrix, encode_trees, profile
 from .lmnn import LabeledTree, TrainedModel
-from .metric import _BLOCK_BYTES, CountRows, WeightModel, weighted_distance  # noqa: F401
+from .metric import _BLOCK_BYTES, CountRows, SlotIndex, WeightModel, weighted_distance  # noqa: F401
 from .ted import tree_edit_distance
 from .tree import Tree
 
@@ -73,8 +73,12 @@ class GramDistance(TreeDistance):
 
     ``query_distances`` gives one query's distances to a whole reference
     list in one kernel call, each bit for bit the pair call
-    ``self(ref, query)``. The last reference list's ``CountRows`` is kept,
-    keyed on its trees' identities (which the encoding cache keeps alive).
+    ``self(ref, query)``. ``nearest`` gives the indices of the k nearest
+    references: a cheap estimate with a proven error bound picks the few
+    references that can be among them, and only those are scored, by the
+    same kernel, so no distance ever comes from the estimate. The last
+    reference list's ``CountRows`` and its ``SlotIndex`` are kept, keyed on
+    its trees' identities (which the encoding cache keeps alive).
     """
 
     def __init__(self, name: str, model: WeightModel):
@@ -84,20 +88,30 @@ class GramDistance(TreeDistance):
             encoder=lambda t: profile(t, model.vocab),
         )
         self.model = model
-        self._refs: tuple[tuple[int, ...], CountRows] | None = None
+        self._refs: tuple[tuple[int, ...], SlotIndex] | None = None
 
     def clear_cache(self) -> None:
         super().clear_cache()
         self._refs = None
 
-    def query_distances(self, refs: Sequence[Tree], query: Tree) -> np.ndarray:
-        """``[self(r, query) for r in refs]`` as an array, in one call."""
+    def _index(self, refs: Sequence[Tree]) -> SlotIndex:
         key = tuple(map(id, refs))
         if self._refs is None or self._refs[0] != key:
-            profs = [self._encode(t) for t in refs]
-            self._refs = (key, CountRows.of_profiles(profs, self.model.dim))
-        x = count_matrix([self._encode(query)], self.model.vocab)[0]
-        return self._refs[1].distances(self.model.effective_weights(), x)
+            rows = CountRows.of_profiles([self._encode(t) for t in refs], self.model.dim)
+            self._refs = (key, SlotIndex(rows, self.model.effective_weights()))
+        return self._refs[1]
+
+    def _row(self, query: Tree) -> np.ndarray:
+        return count_matrix([self._encode(query)], self.model.vocab)[0]
+
+    def query_distances(self, refs: Sequence[Tree], query: Tree) -> np.ndarray:
+        """``[self(r, query) for r in refs]`` as an array, in one call."""
+        return self._index(refs).rows.distances(self.model.effective_weights(), self._row(query))
+
+    def nearest(self, refs: Sequence[Tree], query: Tree, k: int) -> np.ndarray:
+        """``np.argsort(self.query_distances(refs, query), kind="stable")[:k]``,
+        scoring only the references that can be among the k nearest."""
+        return self._index(refs).nearest(self._row(query), k)
 
 
 def weighted_gram_distance(model: WeightModel | TrainedModel) -> GramDistance:
@@ -133,9 +147,11 @@ def knn_classify(
 ) -> int:
     """Majority label of the k nearest training points.
 
-    A :class:`GramDistance` gives all of the query's distances in one
-    ``query_distances`` call; any other distance is called once per
-    (training tree, query) pair. Both give the same numbers.
+    A :class:`GramDistance` gives the k nearest in one ``nearest`` call: an
+    estimate with a proven error bound picks the training trees that can be
+    among them, and only those are scored, by the same kernel as every
+    other gram distance, so no distance comes from the estimate. Any other
+    distance is called once per (training tree, query) pair.
 
     Tie ladder: equal distances prefer the lower training index; tied votes
     prefer the nearest neighbor's label, then the smaller class id.
@@ -147,11 +163,11 @@ def knn_classify(
     if len(train) < k:
         raise ValueError(f"need at least k={k} training points, have {len(train)}")
     if isinstance(dist, GramDistance):
-        d = dist.query_distances([item.tree for item in train], query)
+        nearest = dist.nearest([item.tree for item in train], query, k).tolist()
     else:
         d = [dist(item.tree, query) for item in train]
-    # a stable sort keeps equal distances in training order
-    nearest = np.argsort(d, kind="stable")[:k].tolist()
+        # a stable sort keeps equal distances in training order
+        nearest = np.argsort(d, kind="stable")[:k].tolist()
     votes: dict[int, int] = {}
     for i in nearest:
         lab = train[i].label
@@ -250,9 +266,10 @@ def cross_validate(
     ``dist_builder`` receives each fold's training items (where any metric
     learning happens) and returns the distance used to classify that fold.
     Each query goes through ``knn_classify``, so a gram distance scores it
-    against the whole training fold in one call and any other distance
-    pair by pair. Timed inference covers encoding plus classification, not
-    training.
+    exactly against only the training trees that its estimate cannot rule
+    out of the k nearest, and any other distance against every training
+    tree, pair by pair. Timed inference covers encoding plus
+    classification, not training.
     ``threads`` has no effect: queries are classified serially, which
     measured faster than a thread pool under the interpreter lock.
     """
@@ -317,12 +334,14 @@ def benchmark_inference(
     repeats: int = 3,
     threads: int = 1,
 ) -> BenchResult:
-    """Time the full inference pipeline: encoding, all train x test
-    distances, and the majority votes. Each test tree goes through
-    ``knn_classify``: a gram distance scores it against all of ``train`` in
-    one call, any other distance pair by pair. Repeated ``repeats`` times
-    from a cold cache, single-threaded so ratios reflect algorithmic cost
-    rather than core count; ``threads`` has no effect.
+    """Time the full inference pipeline: encoding, the train x test
+    distances that the k nearest need, and the majority votes. Each test
+    tree goes through ``knn_classify``: a gram distance scores it exactly
+    against only the training trees that its estimate cannot rule out of
+    the k nearest, any other distance against all of ``train``, pair by
+    pair. Repeated ``repeats`` times from a cold cache, single-threaded so
+    ratios reflect algorithmic cost rather than core count; ``threads`` has
+    no effect.
     """
     if not train or not test:
         raise ValueError("train and test must be non-empty")

@@ -44,7 +44,6 @@ from .grams import GramShape, Profile, Vocabulary, count_matrix, encode_trees
 from .metric import (
     CountRows,
     WeightModel,
-    paired_distances,
     sigmoid,
     softplus,
     symmetric_distances,
@@ -157,8 +156,8 @@ def find_impostors(
     ``(i, j)`` pairs sorted by i, then j; the result may be empty.
 
     Only two pair sets are scored under the current ``model``: the target
-    pairs, in one ``paired_distances`` pass that gives each point its
-    radius, and the pairs of different classes. For the latter the rows
+    pairs, in one ``CountRows.pair_distances`` pass that gives each point
+    its radius, and the pairs of different classes. For the latter the rows
     are put in class order and each point runs the ``CountRows`` kernel
     over the rows of later classes only; the result is mirrored, since the
     kernel's distance is symmetric bit for bit. Same-class pairs that are
@@ -174,15 +173,16 @@ def find_impostors(
     labels_arr = np.asarray(labels)
     order = np.argsort(labels_arr, kind="stable")
     rank = np.argsort(order)
-    X = count_matrix([profiles[i] for i in order], model.vocab)
+    ordered = [profiles[i] for i in order]
+    X = count_matrix(ordered, model.vocab)
+    rows = CountRows.of_profiles(ordered, model.dim)
+    eff = model.effective_weights()
     radius = np.full(m, -np.inf)
-    np.maximum.at(radius, rank[ij[:, 0]], paired_distances(model, X, rank[ij]))
+    np.maximum.at(radius, rank[ij[:, 0]], rows.pair_distances(eff, X, *rank[ij].T))
 
     sorted_labels = labels_arr[order]
     # each point's first row past its class
     later = np.searchsorted(sorted_labels, sorted_labels, side="right")
-    rows = CountRows.of_matrix(X)
-    eff = model.effective_weights()
     D = np.full((m, m), np.inf)  # same-class entries stay inf: never impostors
     for a in range(int(np.searchsorted(later, m))):
         D[a, later[a] :] = rows.distances(eff, X[a], later[a])

@@ -6,12 +6,17 @@ effective weights strictly positive, so the distance stays a pseudo-metric
 (distinct trees may still sit at distance zero) for any finite parameters.
 
 Every weighted distance, from one pair to a training set or a k-NN
-reference list, comes out of one kernel, ``CountRows.distances``, so pair
-calls, targets, impostors and k-NN see identical distances and ties.
-``paired_distances`` gives the kernel's distance for a list of index pairs
-from dense blocks whose elements and row sums are the kernel's own. Only
-the loss's ``_PairTerms.distances`` sums in another order (last bits can
-differ); the loss gradient sums integer counts, exactly, in no set order.
+reference list, comes out of one kernel in ``CountRows``, so pair calls,
+targets, impostors and k-NN see identical distances and ties.
+``CountRows.distances`` scores one row against a run of rows;
+``CountRows.pair_distances`` scores a list of (query, reference) pairs,
+such as the impostor radii and the k-NN candidates, with the same elements
+and row sums. ``SlotIndex`` estimates a query's distance to every
+reference, with a proven error bound, only to pick which references the
+kernel must score for the k nearest: no distance ever comes from the
+estimate. Only the loss's ``_PairTerms.distances`` sums in another order
+(last bits can differ); the loss gradient sums integer counts, exactly, in
+no set order.
 """
 
 from __future__ import annotations
@@ -96,17 +101,27 @@ def pq_distance(x: Profile, y: Profile) -> int:
 _BLOCK_BYTES = 1 << 20
 
 
+def _ranges(starts: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The positions ``starts[k]:starts[k + 1]`` of each k in ``keys``, one
+    range after another, and each range's length."""
+    first = starts[keys]
+    lens = starts[keys + 1] - first
+    return (first + lens - lens.cumsum()).repeat(lens) + np.arange(lens.sum()), lens
+
+
 @dataclass(frozen=True, eq=False)
 class CountRows:
     """Count rows over ``dim`` slots, held as their row-major nonzeros: row
     ``r`` owns entries ``starts[r]:starts[r + 1]``, each with its flat
     position ``r * dim + slot`` in a C-contiguous ``rows x dim`` matrix, its
     slot and its float64 count. The kernel rebuilds full, ``dim``-long rows
-    in blocks of at most ``_BLOCK_BYTES``: ``|row| * eff`` (exactly the term
-    of a slot where the reference is zero) with the nonzeros' terms patched
-    in, each element the dense formula's float. Each distance is one sum
-    over a contiguous row, so it depends on its two rows only, never on the
-    block or call around them.
+    in blocks of at most ``_BLOCK_BYTES``: ``|query| * eff`` (exactly the
+    term of a slot where the reference is zero) with the reference's
+    nonzero terms patched in, each element the dense formula's float. Each
+    distance is one sum over a contiguous row, so it depends on its two rows
+    only, never on the block or call around them. ``distances`` scores one
+    query against a run of rows; ``pair_distances`` scores a list of
+    (query, reference) pairs, with the same elements and row sums.
     """
 
     dim: int
@@ -146,6 +161,103 @@ class CountRows:
             out[lo - start : hi - start] = buf.sum(axis=1)
         return out
 
+    def pair_distances(
+        self, eff: np.ndarray, Q: np.ndarray, a: np.ndarray, b: np.ndarray
+    ) -> np.ndarray:
+        """d[r] = sum_i eff_i * |ref_i - Q[a[r], i]| for reference ``b[r]``:
+        ``distances(eff, Q[a[r]])[b[r]]``, bit for bit."""
+        dim = self.dim
+        step = max(1, _BLOCK_BYTES // (8 * dim))
+        flat_q = Q.reshape(-1)
+        out = np.empty(len(a))
+        block = np.empty((min(step, len(a)), dim))
+        for lo in range(0, len(a), step):
+            qa, rb = a[lo : lo + step], b[lo : lo + step]
+            buf = block[: len(qa)]
+            Q.take(qa, axis=0, out=buf, mode="clip")
+            np.abs(buf, out=buf)
+            buf *= eff
+            # the nonzeros of references rb, and their flat positions in buf
+            nz, lens = _ranges(self.starts, rb)
+            slots = self.slots[nz]
+            q = flat_q[(qa * dim).repeat(lens) + slots]
+            at = np.arange(0, len(qa) * dim, dim).repeat(lens) + slots
+            buf.reshape(-1)[at] = np.abs(self.vals[nz] - q) * eff[slots]
+            out[lo : lo + len(qa)] = buf.sum(axis=1)
+        return out
+
+
+class SlotIndex:
+    """The nonzeros of a ``CountRows`` held slot-major under one weight vector:
+    for each slot, the rows holding it and their terms ``eff * count``, plus
+    each row's weighted norm. It picks which rows the kernel must score for a
+    query's k nearest; every distance it returns comes from the kernel.
+    """
+
+    def __init__(self, rows: CountRows, eff: np.ndarray):
+        owner = np.repeat(np.arange(len(rows.starts) - 1), np.diff(rows.starts))
+        terms = eff[rows.slots] * rows.vals
+        order = np.argsort(rows.slots, kind="stable")
+        self.rows, self.eff = rows, eff
+        self.starts = np.searchsorted(rows.slots[order], np.arange(rows.dim + 1))
+        self.owner = owner[order]
+        self.terms = terms[order]
+        self.norms = np.bincount(owner, weights=terms, minlength=len(rows.starts) - 1)
+        self.max_norm = float(self.norms.max(initial=0.0))
+
+    def estimates(self, row: np.ndarray) -> tuple[np.ndarray, float]:
+        """Each row's estimate of its kernel distance to the dense count row
+        ``row``, and a bound ``slack`` on |estimate - kernel distance|.
+
+        For counts q and r, ``|q - r| = q + r - 2 min(q, r)``, so the
+        estimate is ``|q| + |r| - 2 S``, with norms ``|x| = sum eff * x`` and
+        ``S = sum eff * min(q, r)`` over the slots that both rows hold.
+        """
+        qs = row.nonzero()[0]
+        q_terms = self.eff[qs] * row[qs]
+        at, lens = _ranges(self.starts, qs)
+        # rounding is monotone: min(fl(eff * q), fl(eff * r)) == fl(eff * min(q, r))
+        shared = np.minimum(self.terms[at], q_terms.repeat(lens))
+        s = np.bincount(self.owner[at], shared, len(self.norms))
+        norm_q = float(q_terms.sum())
+        # The slack, with u = 2**-53, n = dim, exact norms Nq and Nr and the
+        # exact distance D <= Nq + Nr. Counts are integers, so each product
+        # eff * c is rounded once, within a factor 1 + u (below 2**-1022 an
+        # integer times a subnormal is exact), and a float sum of at most n
+        # non-negative terms, in any order, is within gamma_n = n u / (1 - n u)
+        # of the exact sum. So the kernel is within gamma_n D of D. The
+        # estimate's norms and S are each within gamma_n, 2 S <= Nq + Nr,
+        # and its last two roundings add at most 3 u (Nq + Nr). Together,
+        # |estimate - kernel| <= 3 gamma_(n+2) (Nq + Nr) <= 4 (n + 2) u (Nq + Nr).
+        # The slack, 8 (n + 8) u over the computed norms, is over twice that,
+        # which leaves room for the rounding of the norms and of the filter's
+        # threshold. Past 2**1000 a distance could overflow, and there is no
+        # bound: the slack is inf.
+        total = norm_q + self.max_norm
+        slack = (self.rows.dim + 8) * 2.0**-50 * total if total < 2.0**1000 else math.inf
+        return (self.norms - 2 * s) + norm_q, slack
+
+    def nearest(self, row: np.ndarray, k: int) -> np.ndarray:
+        """The first k of a stable argsort of the kernel's distances from every
+        row to ``row``, scoring only the rows whose estimate is within
+        ``2 * slack`` of the k-th smallest estimate tau.
+
+        Any other row r has k rows j with est_j <= tau, and then
+        kernel_j <= tau + slack < est_r - slack <= kernel_r: k rows strictly
+        nearer, so r is not among the k nearest, whatever the tie-break.
+        The candidates are scored by the kernel in ascending row order, so a
+        stable argsort of them keeps the full argsort's order on ties.
+        """
+        est, slack = self.estimates(row)
+        if slack < math.inf:
+            cand = (est <= np.partition(est, k - 1)[k - 1] + 2 * slack).nonzero()[0]
+        else:
+            cand = np.arange(len(est))
+        if len(cand) == 1:  # k == 1, and the one row left is the nearest
+            return cand
+        d = self.rows.pair_distances(self.eff, row[None], np.zeros_like(cand), cand)
+        return cand[np.argsort(d, kind="stable")[:k]]
+
 
 def pairwise_distances(model: WeightModel, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """D[a, b] = sum_i softplus(w_i) * |A[a, i] - B[b, i]| over dense count rows.
@@ -174,24 +286,9 @@ def symmetric_distances(model: WeightModel, X: np.ndarray) -> np.ndarray:
 
 def paired_distances(model: WeightModel, X: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     """d[r] = ``pairwise_distances(model, X[i:i+1], X[j:j+1])`` for row ``r = (i, j)``
-    of the ``n x 2`` index array ``pairs``, bit for bit.
-
-    Each block holds ``|X[j] - X[i]| * eff`` for up to half of
-    ``_BLOCK_BYTES`` of pairs (``X[i]`` is gathered beside it), each element
-    the kernel's float (``|0 - x| == |x|``), and each distance is the same
-    sum over one contiguous ``dim``-long row.
-    """
-    eff = model.effective_weights()
-    step = max(1, _BLOCK_BYTES // (16 * X.shape[1]))
-    out = np.empty(len(pairs))
-    for lo in range(0, len(pairs), step):
-        block = pairs[lo : lo + step]
-        diff = X[block[:, 1]]
-        diff -= X[block[:, 0]]
-        np.abs(diff, out=diff)
-        diff *= eff
-        out[lo : lo + len(block)] = diff.sum(axis=1)
-    return out
+    of the ``n x 2`` index array ``pairs``, bit for bit: one ``pair_distances`` call."""
+    i, j = np.asarray(pairs).reshape(-1, 2).T
+    return CountRows.of_matrix(X).pair_distances(model.effective_weights(), X, i, j)
 
 
 def weighted_distance(model: WeightModel, x: Profile, y: Profile) -> float:

@@ -21,7 +21,7 @@ from pqgrams.lmnn import LabeledTree, TrainConfig, train
 from pqgrams.metric import W_INIT, WeightModel
 from pqgrams.tree import parse_tree, serialize_tree
 
-from conftest import random_tree_raw
+from conftest import random_tree_raw, weight_draws
 
 S22 = GramShape(2, 2)
 
@@ -264,6 +264,30 @@ def test_batched_distances_match_pair_calls_bit_for_bit():
         assert batched.tobytes() == np.array(pairs).tobytes()
         for k in (1, 2, 3, 4):
             assert knn_classify(data, q, dist, k) == ladder(pairs, labels, k)
+
+
+def test_nearest_equals_stable_argsort_of_query_distances():
+    rng = random.Random(21)
+    np_rng = np.random.default_rng(21)
+    unique = [random_tree(rng.randrange(5, 40), rng, tuple("abcd")) for _ in range(24)]
+    # the same tree object twice and equal copies, so distances tie exactly
+    trees = unique + unique[:4] + [parse_tree(serialize_tree(t)) for t in unique[4:8]]
+    labels = [i % 3 for i in range(len(trees))]
+    data = [LabeledTree(t, lab) for t, lab in zip(trees, labels)]
+    vocab = Vocabulary.from_trees(unique, S22)
+    queries = [random_tree(rng.randrange(5, 40), rng, tuple("abcdz")) for _ in range(6)]
+    queries += [trees[0], trees[30], parse_tree("x(y(z),w)")]
+    assert profile(queries[-1], vocab).indices.tolist() == [vocab.oov_id]  # only OOV grams
+    for w in weight_draws(np_rng, vocab.dim):
+        dist = weighted_gram_distance(WeightModel(vocab, w))
+        for refs in (data, data[:1]):
+            ref_trees = [it.tree for it in refs]
+            for q in queries:
+                full = dist.query_distances(ref_trees, q)
+                for k in sorted({1, 2, 3, len(refs)} & set(range(1, len(refs) + 1))):
+                    want = np.argsort(full, kind="stable")[:k].tolist()
+                    assert dist.nearest(ref_trees, q, k).tolist() == want
+                    assert knn_classify(refs, q, dist, k) == ladder(full.tolist(), labels, k)
 
 
 def test_reference_cache_follows_the_reference_list():

@@ -15,6 +15,8 @@ from pqgrams.grams import (
 from pqgrams.metric import (
     _BLOCK_BYTES,
     W_INIT,
+    CountRows,
+    SlotIndex,
     WeightModel,
     distance_gradient,
     paired_distances,
@@ -27,7 +29,7 @@ from pqgrams.metric import (
 )
 from pqgrams.tree import parse_tree
 
-from conftest import random_tree_raw
+from conftest import random_tree_raw, weight_draws
 from oracles import naive_weighted_distance
 
 S12 = GramShape(1, 2)
@@ -300,3 +302,60 @@ def test_paired_distances_equal_pair_calls_bit_for_bit():
     assert len(pairs) > _BLOCK_BYTES // (8 * dim)
     want = [pairwise_distances(model, X[i : i + 1], X[j : j + 1])[0, 0] for i, j in pairs]
     assert paired_distances(model, X, pairs).tobytes() == np.array(want).tobytes()
+
+
+def test_estimates_are_within_slack_of_the_kernel():
+    np_rng = np.random.default_rng(71)
+    for dim in (1, 7, 128, 129, 1000, 3001):
+        v = Vocabulary(S12, [(f"l{i}", "*", "*") for i in range(dim - 1)])
+        for w in weight_draws(np_rng, dim):
+            eff = WeightModel(v, w).effective_weights()
+            for density in (0.02, 0.3, 1.0):
+                X = np_rng.integers(0, 6, (24, dim)) * (np_rng.random((24, dim)) < density)
+                X = X.astype(np.float64)
+                X[0] = 0.0  # an all-zero row
+                X[1] = X[2]  # a duplicate
+                X[-1] *= 40.0  # counts far apart
+                index = SlotIndex(CountRows.of_matrix(X), eff)
+                for q in [*X[:4], X[-1], np_rng.integers(0, 6, dim).astype(np.float64)]:
+                    est, slack = index.estimates(q)
+                    kernel = index.rows.distances(eff, q)
+                    assert np.all(np.abs(est - kernel) <= slack)
+
+
+def test_nearest_keeps_rows_that_the_estimate_ranks_past_the_kth():
+    """At equal weights of ln 2, rows at exactly equal distance round apart
+    differently in the estimate and in the kernel. In each of these seeded
+    cases the k smallest estimates miss a row of the kernel's k nearest, so
+    only the slack keeps it among the rows that the kernel scores."""
+    for seed, k in ((0, 1), (48, 1), (60, 3), (84, 3)):
+        rng = np.random.default_rng(seed)
+        dim, n = int(rng.integers(20, 300)), int(rng.integers(5, 40))
+        v = Vocabulary(S12, [(f"l{i}", "*", "*") for i in range(dim - 1)])
+        eff = WeightModel(v, np.zeros(dim)).effective_weights()
+        X = (rng.integers(0, 4, (n, dim)) * (rng.random((n, dim)) < 0.2)).astype(np.float64)
+        q = (rng.integers(0, 4, dim) * (rng.random(dim) < 0.2)).astype(np.float64)
+        index = SlotIndex(CountRows.of_matrix(X), eff)
+        want = np.argsort(index.rows.distances(eff, q), kind="stable")[:k]
+        est, slack = index.estimates(q)
+        by_estimate = np.flatnonzero(est <= np.partition(est, k - 1)[k - 1])
+        assert not set(want) <= set(by_estimate)
+        assert index.nearest(q, k).tolist() == want.tolist()
+
+
+def test_nearest_scores_every_row_when_distances_may_overflow():
+    # effective weights near the float64 maximum: the estimate has no
+    # error bound, and the kernel's own infinities decide the order
+    v = Vocabulary(S12, [(f"l{i}", "*", "*") for i in range(5)])
+    eff = WeightModel(v, np.array([1e308, 1e308, 1.0, 2.0, 3.0, 1e300])).effective_weights()
+    X = np.array(
+        [[2, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0], [0, 2, 0, 0, 1, 0], [0, 0, 1, 0, 0, 3]], float
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        index = SlotIndex(CountRows.of_matrix(X), eff)
+        for q in (np.zeros(6), X[1], np.array([3, 0, 0, 0, 0, 1.0])):
+            assert index.estimates(q)[1] == math.inf
+            kernel = index.rows.distances(eff, q)
+            for k in range(1, 5):
+                want = np.argsort(kernel, kind="stable")[:k]
+                assert index.nearest(q, k).tolist() == want.tolist()
