@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -78,6 +78,15 @@ def gram_count(t: Tree, shape: GramShape) -> int:
     return leaves + (n - 1) + (shape.q - 1) * (n - leaves)
 
 
+def _distinct_tuples(grams: Iterable[Counter[LabelTuple]]) -> dict[LabelTuple, None]:
+    """Each tuple of the multisets ``grams`` once, in first-occurrence order.
+    Every tree has a gram, so no tuples means no trees."""
+    tuples = dict.fromkeys(chain.from_iterable(grams))
+    if not tuples:
+        raise ValueError("cannot build a vocabulary from an empty collection")
+    return tuples
+
+
 class Vocabulary:
     """Interned id space over the distinct label tuples of a tree corpus.
 
@@ -105,14 +114,7 @@ class Vocabulary:
 
     @classmethod
     def from_trees(cls, trees: Iterable[Tree], shape: GramShape) -> "Vocabulary":
-        trees = list(trees)
-        if not trees:
-            raise ValueError("cannot build a vocabulary from an empty collection")
-        seen: dict[LabelTuple, None] = {}
-        for t in trees:
-            for tup in extract_grams(t, shape):
-                seen.setdefault(tup)
-        return cls(shape, seen.keys())
+        return cls(shape, _distinct_tuples(extract_grams(t, shape) for t in trees))
 
     @property
     def oov_id(self) -> int:
@@ -179,19 +181,16 @@ class Profile:
         return int(self.counts.sum())
 
 
-def _profile_of(vocab: Vocabulary, acc: dict[int, int]) -> Profile:
-    idx = sorted(acc)
-    vals = [acc[i] for i in idx]
-    return Profile(vocab, np.array(idx, dtype=np.int64), np.array(vals, dtype=np.int64))
-
-
 def profile(t: Tree, vocab: Vocabulary, shape: GramShape | None = None) -> Profile:
     """Count vector of ``t`` over ``vocab``; unseen tuples land in the OOV slot."""
     if shape is None:
         shape = vocab.shape
     elif shape != vocab.shape:
         raise ValueError(f"shape {shape} does not match vocabulary shape {vocab.shape}")
-    grams = extract_grams(t, shape)
+    return _profile(extract_grams(t, shape), vocab)
+
+
+def _profile(grams: Counter[LabelTuple], vocab: Vocabulary) -> Profile:
     oov = vocab.oov_id
     ids = np.fromiter(map(vocab._ids.get, grams, repeat(oov)), np.int64, len(grams))
     counts = np.fromiter(grams.values(), np.int64, len(grams))
@@ -205,22 +204,12 @@ def profile(t: Tree, vocab: Vocabulary, shape: GramShape | None = None) -> Profi
     return Profile(vocab, ids, counts)
 
 
-def encode_trees(
-    trees: Iterable[Tree], shape: GramShape
-) -> tuple[Vocabulary, list[Profile]]:
-    """``build_vocabulary(trees, shape)`` and every tree's profile over it,
-    extracting each tree's grams once. No profile has OOV counts."""
-    ids: dict[LabelTuple, int] = {}
-    accs: list[dict[int, int]] = []
-    for t in trees:
-        # tuples are distinct within one tree's multiset, and ids are handed
-        # out in first-occurrence order as in Vocabulary.from_trees
-        grams = extract_grams(t, shape)
-        accs.append({ids.setdefault(tup, len(ids)): c for tup, c in grams.items()})
-    if not accs:
-        raise ValueError("cannot build a vocabulary from an empty collection")
-    vocab = Vocabulary(shape, ids)
-    return vocab, [_profile_of(vocab, acc) for acc in accs]
+def encode_trees(trees: Iterable[Tree], shape: GramShape) -> tuple[Vocabulary, list[Profile]]:
+    """``build_vocabulary(trees, shape)`` and every tree's ``profile`` over
+    it, extracting each tree's grams once. No profile has OOV counts."""
+    grams = [extract_grams(t, shape) for t in trees]
+    vocab = Vocabulary(shape, _distinct_tuples(grams))
+    return vocab, [_profile(g, vocab) for g in grams]
 
 
 def count_matrix(profiles: Sequence[Profile], vocab: Vocabulary) -> np.ndarray:

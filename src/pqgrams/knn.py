@@ -77,8 +77,8 @@ class GramDistance(TreeDistance):
     references: a cheap estimate with a proven error bound picks the few
     references that can be among them, and only those are scored, by the
     same kernel, so no distance ever comes from the estimate. The last
-    reference list's ``CountRows`` and its ``SlotIndex`` are kept, keyed on
-    its trees' identities (which the encoding cache keeps alive).
+    reference list's ``CountRows`` and its ``SlotIndex`` are kept with a
+    copy of that list, and reused while the next list compares equal to it.
     """
 
     def __init__(self, name: str, model: WeightModel):
@@ -88,17 +88,19 @@ class GramDistance(TreeDistance):
             encoder=lambda t: profile(t, model.vocab),
         )
         self.model = model
-        self._refs: tuple[tuple[int, ...], SlotIndex] | None = None
+        self._refs: tuple[list[Tree], SlotIndex] | None = None
 
     def clear_cache(self) -> None:
         super().clear_cache()
         self._refs = None
 
     def _index(self, refs: Sequence[Tree]) -> SlotIndex:
-        key = tuple(map(id, refs))
-        if self._refs is None or self._refs[0] != key:
+        # a copy, so later in-place edits of the caller's list are seen; list
+        # comparison tries identity before Tree.__eq__ (equal trees, equal profiles)
+        refs = list(refs)
+        if self._refs is None or self._refs[0] != refs:
             rows = CountRows.of_profiles([self._encode(t) for t in refs], self.model.dim)
-            self._refs = (key, SlotIndex(rows, self.model.effective_weights()))
+            self._refs = (refs, SlotIndex(rows, self.model.effective_weights()))
         return self._refs[1]
 
     def _row(self, query: Tree) -> np.ndarray:
@@ -265,11 +267,9 @@ def cross_validate(
 
     ``dist_builder`` receives each fold's training items (where any metric
     learning happens) and returns the distance used to classify that fold.
-    Each query goes through ``knn_classify``, so a gram distance scores it
-    exactly against only the training trees that its estimate cannot rule
-    out of the k nearest, and any other distance against every training
-    tree, pair by pair. Timed inference covers encoding plus
-    classification, not training.
+    Each query goes through ``knn_classify``, which says which distances
+    it computes. Timed inference covers encoding plus classification, not
+    training.
     ``threads`` has no effect: queries are classified serially, which
     measured faster than a thread pool under the interpreter lock.
     """
@@ -336,12 +336,10 @@ def benchmark_inference(
 ) -> BenchResult:
     """Time the full inference pipeline: encoding, the train x test
     distances that the k nearest need, and the majority votes. Each test
-    tree goes through ``knn_classify``: a gram distance scores it exactly
-    against only the training trees that its estimate cannot rule out of
-    the k nearest, any other distance against all of ``train``, pair by
-    pair. Repeated ``repeats`` times from a cold cache, single-threaded so
-    ratios reflect algorithmic cost rather than core count; ``threads`` has
-    no effect.
+    tree goes through ``knn_classify``, which says which distances it
+    computes. Repeated ``repeats`` times from a cold cache, single-threaded
+    so ratios reflect algorithmic cost rather than core count; ``threads``
+    has no effect.
     """
     if not train or not test:
         raise ValueError("train and test must be non-empty")

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 import random
 import re
 from dataclasses import dataclass, field, fields
@@ -80,9 +81,20 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("mu1", "mu2", "beta", "eta"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        # held as plain int and float, whose repr a model file's config line
+        # reads back; a number of the wrong kind is rejected, not rounded
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(f.default) is int:
+                try:
+                    value = operator.index(value)
+                except TypeError:
+                    raise ValueError(f"{f.name} must be an integer, got {value!r}") from None
+            elif math.isfinite(value):
+                value = float(value)
+            else:
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
+            object.__setattr__(self, f.name, value)
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if self.mu1 < 0 or self.mu2 < 0:

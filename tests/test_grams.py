@@ -202,10 +202,13 @@ def test_encode_trees_matches_vocabulary_then_profile():
         shape = GramShape(rng.randrange(1, 4), rng.randrange(1, 4))
         vocab, profiles = encode_trees(ts, shape)
         assert vocab.tuples == build_vocabulary(ts, shape).tuples
+        assert Vocabulary.from_trees(ts, shape) == vocab
         for t, p in zip(ts, profiles):
             want = profile(t, vocab)
             assert p.vocab is vocab
             assert p.indices.tolist() == want.indices.tolist()
             assert p.counts.tolist() == want.counts.tolist()
+            for got, exp in ((p.indices, want.indices), (p.counts, want.counts)):
+                assert got.dtype == exp.dtype and got.tobytes() == exp.tobytes()
     with pytest.raises(ValueError):
         encode_trees([], S12)

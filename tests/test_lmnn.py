@@ -2,6 +2,7 @@ import logging
 import math
 import random
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -76,6 +77,23 @@ def test_config_validation():
 def test_config_rejects_non_finite_values_by_name(name, bad):
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
         TrainConfig(**{name: bad})
+
+
+def test_config_numbers_round_trip_through_a_model_file_or_are_rejected(tmp_path):
+    cfg = TrainConfig(
+        k=np.int64(1), mu1=np.float64(4.0), mu2=np.float32(1.5), beta=0, eta=np.float64(0.1),
+        epochs=np.int32(7), impostor_refresh_every=True, subsample_cap=np.uint8(40), seed=np.int64(3),
+    )
+    assert (cfg.k, cfg.mu1, cfg.mu2, cfg.beta, cfg.impostor_refresh_every) == (1, 4.0, 1.5, 0.0, 1)
+    for f in fields(TrainConfig):
+        assert type(getattr(cfg, f.name)) is type(f.default)
+    vocab = build_vocabulary([parse_tree("a(b,c)")], S12)
+    path = tmp_path / "m.txt"
+    save_model(TrainedModel(WeightModel.initial(vocab), cfg), path)
+    assert load_model(path).config == cfg
+    for name, bad in [("k", 1.5), ("epochs", 2.0), ("seed", 0.5), ("k", np.float64(1.0))]:
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            TrainConfig(**{name: bad})
 
 
 def test_config_defaults_match_protocol():
