@@ -1,7 +1,14 @@
 """Command-line entry point.
 
-Subcommands: gen-strings, grams, dist, train, knn-eval, bench.
+Subcommands: gen-strings, grams, dist, train, knn-eval, bench, inspect.
 Exit codes: 0 success, 1 usage error, 2 data/parse error.
+
+The strings experiment, plain vs learned weights, then the learned grams:
+  pqgrams gen-strings --n 100 --seed 42 --out s.tsv
+  pqgrams knn-eval --data s.tsv --setting E1 -k 1 --seed 42
+  pqgrams knn-eval --data s.tsv --setting E2 -k 1 --seed 42
+  pqgrams train --data s.tsv -k 1 --seed 42 --out m.txt
+  pqgrams inspect --model m.txt --data s.tsv
 """
 
 from __future__ import annotations
@@ -9,6 +16,8 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from .datasets import gen_strings, load_tsv, save_tsv
 from .grams import GramShape, extract_grams, multiset_distance, profile
@@ -66,7 +75,9 @@ _THREADS_HELP = "accepted but has no effect: queries are classified serially"
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="pqgrams", description=__doc__)
+    parser = _Parser(
+        prog="pqgrams", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p_gen = sub.add_parser("gen-strings", help="generate the two-class strings corpus")
@@ -120,6 +131,12 @@ def build_parser() -> _Parser:
     p_bench.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     _add_shape_flags(p_bench)
     p_bench.set_defaults(func=_cmd_bench)
+
+    p_inspect = sub.add_parser("inspect", help="top-weighted grams with per-class counts")
+    p_inspect.add_argument("--model", required=True, help="model file")
+    p_inspect.add_argument("--data", required=True, help="TSV corpus path")
+    p_inspect.add_argument("--top", type=int, default=10, help="grams listed")
+    p_inspect.set_defaults(func=_cmd_inspect)
 
     return parser
 
@@ -183,7 +200,10 @@ def _cmd_train(args) -> int:
         f"trained on {len(corpus)} trees ({len(corpus.label_names)} classes), "
         f"{trained.vocab.dim} weights"
     )
-    print(f"loss: {trained.initial_loss:.6f} -> {trained.final_loss:.6f}")
+    trace = trained.loss_trace
+    n = len(trace)
+    marks = dict.fromkeys([0, n // 4, n // 2, 3 * n // 4, n - 1])
+    print("loss: " + " -> ".join(f"{trace[e]:.6f} (epoch {e})" for e in marks))
     print(f"model written to {args.out}")
     return 0
 
@@ -243,6 +263,26 @@ def _cmd_bench(args) -> int:
             train_items, test_trees, dist, args.k, repeats=args.repeats
         )
         print(result)
+    return 0
+
+
+def _cmd_inspect(args) -> int:
+    if args.top < 1:
+        raise UsageError("--top must be at least 1")
+    trained = load_model(args.model)
+    corpus = load_tsv(args.data)
+    vocab = trained.vocab
+    eff = trained.model.effective_weights()
+    names = corpus.label_names
+    counts = np.zeros((vocab.dim, len(names)), dtype=np.int64)
+    for item in corpus.items:
+        p = profile(item.tree, vocab)
+        counts[p.indices, item.label] += p.counts
+    print("weight    gram" + " " * 26 + "  ".join(f"{name:>10}" for name in names))
+    for i in np.argsort(-eff[: len(vocab)])[: args.top]:
+        gram = "(" + ",".join(vocab.tuples[i]) + ")"
+        row = "  ".join(f"{c:>10}" for c in counts[i])
+        print(f"{eff[i]:<8.4f}  {gram:<30}{row}")
     return 0
 
 

@@ -181,13 +181,9 @@ class Profile:
         return int(self.counts.sum())
 
 
-def profile(t: Tree, vocab: Vocabulary, shape: GramShape | None = None) -> Profile:
+def profile(t: Tree, vocab: Vocabulary) -> Profile:
     """Count vector of ``t`` over ``vocab``; unseen tuples land in the OOV slot."""
-    if shape is None:
-        shape = vocab.shape
-    elif shape != vocab.shape:
-        raise ValueError(f"shape {shape} does not match vocabulary shape {vocab.shape}")
-    return _profile(extract_grams(t, shape), vocab)
+    return _profile(extract_grams(t, vocab.shape), vocab)
 
 
 def _profile(grams: Counter[LabelTuple], vocab: Vocabulary) -> Profile:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .grams import GramShape, count_matrix, encode_trees, profile
 from .lmnn import LabeledTree, TrainedModel
-from .metric import _BLOCK_BYTES, CountRows, SlotIndex, WeightModel, weighted_distance  # noqa: F401
+from .metric import CountRows, SlotIndex, WeightModel, weighted_distance
 from .ted import tree_edit_distance
 from .tree import Tree
 

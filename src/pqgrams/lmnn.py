@@ -373,13 +373,11 @@ def stratified_subsample(
         quotas[lab] += 1
         leftover -= 1
     for lab in quotas:
-        quotas[lab] = max(floors[lab], min(quotas[lab], len(by_label[lab])))
+        quotas[lab] = max(floors[lab], quotas[lab])
     # floor bumps may overshoot the cap; shave the largest quotas back down
     excess = sum(quotas.values()) - cap
     while excess > 0:
         lab = max(quotas, key=lambda l: (quotas[l] - floors[l], quotas[l], -l))
-        if quotas[lab] <= floors[lab]:
-            break
         quotas[lab] -= 1
         excess -= 1
     chosen: list[int] = []
@@ -594,20 +592,3 @@ def encode_dataset(
     vocab, profiles = encode_trees([item.tree for item in data], shape)
     return vocab, profiles, [item.label for item in data]
 
-
-__all__ = [
-    "LabeledTree",
-    "TrainConfig",
-    "PairSet",
-    "TrainedModel",
-    "ModelFormatError",
-    "build_targets",
-    "find_impostors",
-    "loss",
-    "loss_gradient",
-    "train",
-    "save_model",
-    "load_model",
-    "stratified_subsample",
-    "encode_dataset",
-]

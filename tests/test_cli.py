@@ -1,13 +1,17 @@
+import argparse
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from pqgrams import cli
 from pqgrams.cli import _config_from_args, build_parser, run
-from pqgrams.datasets import gen_strings, save_tsv
-from pqgrams.lmnn import TrainConfig
+from pqgrams.datasets import gen_strings, load_tsv, save_tsv
+from pqgrams.grams import GramShape, extract_grams
+from pqgrams.lmnn import TrainConfig, load_model, train
 
 
 @pytest.fixture
@@ -205,3 +209,84 @@ def test_python_dash_m_runs_from_a_source_checkout(tmp_path):
     )
     assert out.returncode == 0, out.stderr
     assert "gen-strings" in out.stdout
+
+
+@pytest.fixture
+def trained_model(tmp_path, strings_tsv):
+    path = str(tmp_path / "model.txt")
+    assert run(["train", "--data", strings_tsv, "-k", "1", "--epochs", "20",
+                "--seed", "3", "--out", path]) == 0
+    return path
+
+
+def _inspect_rows(out):
+    """(weight, gram tuple, per-class counts) for each row under the header."""
+    rows = []
+    for line in out.splitlines()[1:]:
+        weight, gram, *counts = line.split()
+        rows.append((float(weight), tuple(gram[1:-1].split(",")), [int(c) for c in counts]))
+    return rows
+
+
+def test_inspect_lists_grams_by_effective_weight_with_class_counts(
+    tmp_path, trained_model, capsys
+):
+    # a corpus from another seed has grams the model never saw
+    data = tmp_path / "other.tsv"
+    corpus = gen_strings(10, seed=1)
+    save_tsv(corpus, data)
+    model = load_model(trained_model)
+    vocab, eff = model.vocab, model.model.effective_weights()
+    expected = np.zeros((vocab.dim, len(corpus.label_names)), dtype=np.int64)
+    for item in corpus.items:
+        for tup, count in extract_grams(item.tree, vocab.shape).items():
+            expected[vocab.id_of(tup), item.label] += count
+    assert expected[vocab.oov_id].sum() > 0
+    capsys.readouterr()
+
+    assert run(["inspect", "--model", trained_model, "--data", str(data),
+                "--top", "100000"]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[0].split() == ["weight", "gram", *corpus.label_names]
+    rows = _inspect_rows(out)
+    ids = [vocab.id_of(gram) for _, gram, _ in rows]
+    assert sorted(ids) == list(range(len(vocab)))  # every gram once, never the OOV slot
+    assert all(eff[a] >= eff[b] for a, b in zip(ids, ids[1:]))
+    for (weight, _, counts), i in zip(rows, ids):
+        assert weight == pytest.approx(eff[i], abs=5e-5)
+        assert counts == expected[i].tolist()
+
+    assert run(["inspect", "--model", trained_model, "--data", str(data), "--top", "3"]) == 0
+    assert _inspect_rows(capsys.readouterr().out) == rows[:3]
+
+
+def test_inspect_exit_codes(tmp_path, strings_tsv, trained_model, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("not a model\n", encoding="utf-8")
+    assert run(["inspect", "--model", str(bad), "--data", strings_tsv]) == 2
+    assert run(["inspect", "--model", trained_model, "--data", str(bad)]) == 2
+    assert run(["inspect", "--model", trained_model, "--data", "/nonexistent.tsv"]) == 2
+    assert run(["inspect", "--data", strings_tsv]) == 1
+    assert run(["inspect", "--model", trained_model]) == 1
+    for top in ("0", "-1"):
+        assert run(["inspect", "--model", trained_model, "--data", strings_tsv,
+                    "--top", top]) == 1
+
+
+def test_train_loss_line_marks_quarter_epochs(tmp_path, strings_tsv, capsys):
+    for epochs, marks in [(40, [0, 10, 20, 30, 40]), (2, [0, 1, 2]), (0, [0])]:
+        argv = ["train", "--data", strings_tsv, "-k", "1", "--epochs", str(epochs),
+                "--out", str(tmp_path / "model.txt")]
+        assert run(argv) == 0
+        (line,) = [s for s in capsys.readouterr().out.splitlines() if s.startswith("loss: ")]
+        cfg = _config_from_args(build_parser().parse_args(argv))
+        trace = train(load_tsv(strings_tsv).items, GramShape(2, 2), cfg).loss_trace
+        assert line == "loss: " + " -> ".join(f"{trace[e]:.6f} (epoch {e})" for e in marks)
+
+
+def test_docstring_names_every_subcommand():
+    (line,) = [s for s in cli.__doc__.splitlines() if s.startswith("Subcommands: ")]
+    named = line[len("Subcommands: "):].rstrip(".").split(", ")
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(named) == sorted(sub.choices)

@@ -131,12 +131,6 @@ def test_profile_unseen_tree_goes_to_oov():
     assert dense.sum() == 1
 
 
-def test_profile_shape_mismatch():
-    v = build_vocabulary([parse_tree("a(b,c)")], S12)
-    with pytest.raises(ValueError, match="shape"):
-        profile(parse_tree("a"), v, GramShape(2, 2))
-
-
 def test_sym_diff_golden_pair():
     t1, t2 = parse_tree("a(b,c)"), parse_tree("a(c,b)")
     v = build_vocabulary([t1, t2], S12)

@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from pqgrams import knn
+from pqgrams import metric
 from pqgrams.datasets import gen_strings, random_tree
 from pqgrams.grams import GramShape, Vocabulary, count_matrix, profile
 from pqgrams.knn import (
@@ -253,7 +253,7 @@ def test_batched_distances_match_pair_calls_bit_for_bit():
     trained = train(data[:60], S22, TrainConfig(k=1, epochs=30, seed=1))
     assert np.any(trained.model.w != W_INIT)
     vocab = trained.vocab
-    assert len(trees) * vocab.dim * 8 > knn._BLOCK_BYTES  # several blocks
+    assert len(trees) * vocab.dim * 8 > metric._BLOCK_BYTES  # several blocks
     dist = weighted_gram_distance(trained)
     labels = [it.label for it in data]
     queries = [random_tree(80, rng, tuple("abcdefghz")) for _ in range(6)] + trees[:3]
@@ -322,7 +322,7 @@ def test_reference_cache_follows_the_reference_list():
 def test_query_distances_equal_dense_formula_over_several_blocks():
     rng = random.Random(12)
     vocab = Vocabulary.from_trees([random_tree(80, rng, tuple("abcdefgh")) for _ in range(30)], S22)
-    step = knn._BLOCK_BYTES // (8 * vocab.dim)
+    step = metric._BLOCK_BYTES // (8 * vocab.dim)
     assert step >= 1
     # two full blocks and a last block of one row; most trees carry OOV grams
     refs = [random_tree(80, rng, tuple("abcdefgh")) for _ in range(2 * step + 1)]

@@ -124,10 +124,10 @@ def test_model_file_round_trip(tmp_path_factory, data):
     assert repr(loaded.final_loss) == repr(trace[-1] if trace else None)
 
 
-SUBCOMMANDS = ("gen-strings", "grams", "dist", "train", "knn-eval", "bench", "nope")
+SUBCOMMANDS = ("gen-strings", "grams", "dist", "train", "knn-eval", "bench", "inspect", "nope")
 FLAGS = (
     "--algo", "--t1", "--t2", "--model", "--data", "--out", "--tree", "--setting",
-    "-p", "-q", "-k", "--epochs", "--mu1", "--folds", "--algos", "--n", "--seed",
+    "-p", "-q", "-k", "--epochs", "--mu1", "--folds", "--algos", "--n", "--seed", "--top",
 )
 VALUES = ("pq", "ted", "wpq", "E1", "a", "a(b)", "-1", "0", "2", "x.tsv")
 
