@@ -78,10 +78,9 @@ def gram_count(t: Tree, shape: GramShape) -> int:
     return leaves + (n - 1) + (shape.q - 1) * (n - leaves)
 
 
-def _distinct_tuples(grams: Iterable[Counter[LabelTuple]]) -> dict[LabelTuple, None]:
-    """Each tuple of the multisets ``grams`` once, in first-occurrence order.
-    Every tree has a gram, so no tuples means no trees."""
-    tuples = dict.fromkeys(chain.from_iterable(grams))
+def _nonempty(tuples: dict[LabelTuple, int | None]) -> dict[LabelTuple, int | None]:
+    """``tuples``, unless it is empty: every tree has a gram, so no tuples
+    means no trees."""
     if not tuples:
         raise ValueError("cannot build a vocabulary from an empty collection")
     return tuples
@@ -114,7 +113,8 @@ class Vocabulary:
 
     @classmethod
     def from_trees(cls, trees: Iterable[Tree], shape: GramShape) -> "Vocabulary":
-        return cls(shape, _distinct_tuples(extract_grams(t, shape) for t in trees))
+        grams = (extract_grams(t, shape) for t in trees)
+        return cls(shape, _nonempty(dict.fromkeys(chain.from_iterable(grams))))
 
     @property
     def oov_id(self) -> int:
@@ -203,9 +203,18 @@ def _profile(grams: Counter[LabelTuple], vocab: Vocabulary) -> Profile:
 def encode_trees(trees: Iterable[Tree], shape: GramShape) -> tuple[Vocabulary, list[Profile]]:
     """``build_vocabulary(trees, shape)`` and every tree's ``profile`` over
     it, extracting each tree's grams once. No profile has OOV counts."""
-    grams = [extract_grams(t, shape) for t in trees]
-    vocab = Vocabulary(shape, _distinct_tuples(grams))
-    return vocab, [_profile(g, vocab) for g in grams]
+    # ids in first-occurrence order; a tree's grams go once its ids are kept
+    intern: dict[LabelTuple, int] = {}
+    rows = []
+    for t in trees:
+        grams = extract_grams(t, shape)
+        ids = (intern.setdefault(tup, len(intern)) for tup in grams)
+        ids = np.fromiter(ids, np.int64, len(grams))
+        counts = np.fromiter(grams.values(), np.int64, len(grams))
+        order = np.argsort(ids)
+        rows.append((ids[order], counts[order]))
+    vocab = Vocabulary(shape, _nonempty(intern))
+    return vocab, [Profile(vocab, ids, counts) for ids, counts in rows]
 
 
 def count_matrix(profiles: Sequence[Profile], vocab: Vocabulary) -> np.ndarray:

@@ -9,15 +9,18 @@ closer than the k-th target is an impostor (negative pair). The hinge loss
 is minimized by full-batch Adam; impostors are recomputed periodically with
 the current weights, targets stay fixed at their initial-distance choice.
 
-Training encodes its trees once, as a dense count matrix, and scores only
-the pairs it reads, all through the kernel in ``metric``: targets from one
-symmetric matrix per class, and at each impostor refresh the target pairs
-(for the radii) plus the pairs of different classes, never the other
-same-class pairs. The loss holds each pair's nonzero |x - y| terms in one
-column of a zero-padded array: the targets' built once per run, the
-impostors' at each refresh. A pair's loss distance adds its terms one after
-another in ascending slot order, so it can differ from the kernel's
-pairwise row sum in the last bits.
+Training encodes its trees once, as a dense count matrix. Targets come
+from one symmetric kernel matrix per class. At each impostor refresh
+``metric.threshold_estimates`` estimates every pair's distance at once,
+with a proven rounding bound, in one matrix product; it decides the pairs
+of different classes that lie clear of their point's radius. The kernel in
+``metric`` scores only the pairs within rounding of a radius, with that
+point's target pairs, so every decision is the kernel's own; after the
+initial weights there are usually none. The loss holds each pair's nonzero
+|x - y| terms in one column of a zero-padded array: the targets' built
+once per run, the impostors' at each refresh. A pair's loss distance adds
+its terms one after another in ascending slot order, so it can differ from
+the kernel's pairwise row sum in the last bits.
 
 The gradient is 2*beta*w + sigmoid(w) * c, where c sums the active
 positives' |x - y| less the active negatives'. Those are integer counts, so
@@ -48,6 +51,7 @@ from .metric import (
     sigmoid,
     softplus,
     symmetric_distances,
+    threshold_estimates,
 )
 from .tree import Tree
 
@@ -167,13 +171,16 @@ def find_impostors(
     """Differently-labeled points strictly closer than the k-th target, as
     ``(i, j)`` pairs sorted by i, then j; the result may be empty.
 
-    Only two pair sets are scored under the current ``model``: the target
-    pairs, in one ``CountRows.pair_distances`` pass that gives each point
-    its radius, and the pairs of different classes. For the latter the rows
-    are put in class order and each point runs the ``CountRows`` kernel
-    over the rows of later classes only; the result is mirrored, since the
-    kernel's distance is symmetric bit for bit. Same-class pairs that are
-    not targets are never scored.
+    ``threshold_estimates`` gives every pair an estimate within its slack
+    of the kernel's distance. A point's radius, its kernel distance to its
+    farthest target, is then within the largest slack of its target pairs
+    of their largest estimate, the estimated radius. A pair's margin is its
+    own slack plus that largest one. A cross-class pair whose estimate is
+    below the estimated radius by more than the margin is an impostor; one
+    above it by more than the margin is not. Every other cross-class pair is scored by
+    ``CountRows.pair_distances``, as are its point's target pairs, and
+    decided by the strict ``<``, so the list is the kernel's own. Where the
+    slack is inf (no bound), every cross-class pair is scored.
     """
     m = len(profiles)
     ij = np.array(targets, dtype=np.int64).reshape(-1, 2)
@@ -181,27 +188,32 @@ def find_impostors(
     if (wrong := np.flatnonzero(per_point != k)).size:
         i = int(wrong[0])
         raise ValueError(f"point {i} has {per_point[i]} targets, expected {k}")
-    # from here on rows and points are numbered in class order
-    labels_arr = np.asarray(labels)
-    order = np.argsort(labels_arr, kind="stable")
-    rank = np.argsort(order)
-    ordered = [profiles[i] for i in order]
-    X = count_matrix(ordered, model.vocab)
-    rows = CountRows.of_profiles(ordered, model.dim)
+    if m < 2:
+        return []
+    X = count_matrix(profiles, model.vocab)
     eff = model.effective_weights()
-    radius = np.full(m, -np.inf)
-    np.maximum.at(radius, rank[ij[:, 0]], rows.pair_distances(eff, X, *rank[ij].T))
-
-    sorted_labels = labels_arr[order]
-    # each point's first row past its class
-    later = np.searchsorted(sorted_labels, sorted_labels, side="right")
-    D = np.full((m, m), np.inf)  # same-class entries stay inf: never impostors
-    for a in range(int(np.searchsorted(later, m))):
-        D[a, later[a] :] = rows.distances(eff, X[a], later[a])
-    np.minimum(D, D.T, out=D)
-    hits_a, hits_b = np.nonzero(D < radius[:, None])
-    hits = np.sort(order[hits_a] * m + order[hits_b])
-    return list(zip((hits // m).tolist(), (hits % m).tolist()))
+    est, slack = threshold_estimates(X, eff)
+    # row i: point i's k targets
+    tj = ij[np.argsort(ij[:, 0], kind="stable"), 1].reshape(m, k)
+    at = np.arange(m)[:, None]
+    # in place: est becomes each pair's gap to its point's estimated radius,
+    # slack the pair's margin
+    est -= est[at, tj].max(axis=1)[:, None]
+    slack += slack[at, tj].max(axis=1)[:, None]
+    labels_arr = np.asarray(labels)
+    cross = labels_arr[:, None] != labels_arr
+    hit = cross & (est < -slack)
+    # comparisons with nan are false, so a nan gap leaves its pair unsure
+    a, b = (cross & ~hit & ~(est > slack)).nonzero()
+    if a.size:
+        rows = CountRows.of_profiles(profiles, model.dim)
+        near = np.unique(a)
+        exact = np.empty(m)
+        d = rows.pair_distances(eff, X, near.repeat(k), tj[near].ravel())
+        exact[near] = d.reshape(-1, k).max(axis=1)
+        hit[a, b] = rows.pair_distances(eff, X, a, b) < exact[a]
+    a, b = hit.nonzero()
+    return list(zip(a.tolist(), b.tolist()))
 
 
 # pairs per block when comparing count rows, which bounds the temporary

@@ -10,11 +10,14 @@ reference list, comes out of one kernel in ``CountRows``, so pair calls,
 targets, impostors and k-NN see identical distances and ties.
 ``CountRows.distances`` scores one row against a run of rows;
 ``CountRows.pair_distances`` scores a list of (query, reference) pairs,
-such as the impostor radii and the k-NN candidates, with the same elements
-and row sums. ``SlotIndex`` estimates a query's distance to every
-reference, with a proven error bound, only to pick which references the
-kernel must score for the k nearest: no distance ever comes from the
-estimate. Only the loss's ``_PairTerms.distances`` sums in another order
+such as the impostor pairs near a radius and the k-NN candidates, with the
+same elements and row sums. Two filters estimate distances as
+``|x| + |y| - 2 sum eff * min(x, y)``, within ``rounding_slack`` of the
+kernel: ``SlotIndex``, one query against every reference, picks which
+references the kernel must score for the k nearest, and
+``threshold_estimates``, every pair of a training set at once, decides
+which impostor pairs the kernel must score. Neither ever supplies a
+distance. Only the loss's ``_PairTerms.distances`` sums in another order
 (last bits can differ); the loss gradient sums integer counts, exactly, in
 no set order.
 """
@@ -107,6 +110,33 @@ def _ranges(starts: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarra
     first = starts[keys]
     lens = starts[keys + 1] - first
     return (first + lens - lens.cumsum()).repeat(lens) + np.arange(lens.sum()), lens
+
+
+def rounding_slack(n: int, total):
+    """A bound on |estimate - kernel distance| for the two filters'
+    estimates ``Nq + Nr - 2 S``, where the kernel's row sum, the norms and
+    ``S`` each add at most ``n`` terms and ``total`` (a float or an array)
+    is at least the computed ``Nq + Nr``; ``inf`` where there is no bound.
+    """
+    # With u = 2**-53, exact norms Nq and Nr and the exact distance
+    # D <= Nq + Nr. Counts are integers, so each product eff * c is rounded
+    # once, within a factor 1 + u (below 2**-1022 an integer times a
+    # subnormal is exact), and a float sum of at most n non-negative terms,
+    # in any order and any blocking, is within gamma_n = n u / (1 - n u) of
+    # the exact sum. So the kernel is within gamma_n D of D. The estimate's
+    # norms and S are each within gamma_n, 2 S <= Nq + Nr, and its last two
+    # roundings add at most 3 u (Nq + Nr). Together,
+    # |estimate - kernel| <= 3 gamma_(n+2) (Nq + Nr) <= 4 (n + 2) u (Nq + Nr).
+    # The slack, 8 (n + 8) u over the computed norms, is over twice that,
+    # which leaves room for the rounding of the norms and of the filters'
+    # thresholds. Past 2**1000, or where a norm is not finite, a distance
+    # could overflow, and there is no bound: the slack is inf.
+    slack = (n + 8) * 2.0**-50 * total
+    bounded = total < 2.0**1000  # nan compares false: no bound either
+    if isinstance(slack, float):
+        return slack if bounded else math.inf
+    slack[~bounded] = math.inf
+    return slack
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,21 +250,8 @@ class SlotIndex:
         shared = np.minimum(self.terms[at], q_terms.repeat(lens))
         s = np.bincount(self.owner[at], shared, len(self.norms))
         norm_q = float(q_terms.sum())
-        # The slack, with u = 2**-53, n = dim, exact norms Nq and Nr and the
-        # exact distance D <= Nq + Nr. Counts are integers, so each product
-        # eff * c is rounded once, within a factor 1 + u (below 2**-1022 an
-        # integer times a subnormal is exact), and a float sum of at most n
-        # non-negative terms, in any order, is within gamma_n = n u / (1 - n u)
-        # of the exact sum. So the kernel is within gamma_n D of D. The
-        # estimate's norms and S are each within gamma_n, 2 S <= Nq + Nr,
-        # and its last two roundings add at most 3 u (Nq + Nr). Together,
-        # |estimate - kernel| <= 3 gamma_(n+2) (Nq + Nr) <= 4 (n + 2) u (Nq + Nr).
-        # The slack, 8 (n + 8) u over the computed norms, is over twice that,
-        # which leaves room for the rounding of the norms and of the filter's
-        # threshold. Past 2**1000 a distance could overflow, and there is no
-        # bound: the slack is inf.
-        total = norm_q + self.max_norm
-        slack = (self.rows.dim + 8) * 2.0**-50 * total if total < 2.0**1000 else math.inf
+        # every sum here has at most dim terms
+        slack = rounding_slack(self.rows.dim, norm_q + self.max_norm)
         return (self.norms - 2 * s) + norm_q, slack
 
     def nearest(self, row: np.ndarray, k: int) -> np.ndarray:
@@ -257,6 +274,45 @@ class SlotIndex:
             return cand
         d = self.rows.pair_distances(self.eff, row[None], np.zeros_like(cand), cand)
         return cand[np.argsort(d, kind="stable")[:k]]
+
+
+def threshold_estimates(X: np.ndarray, eff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair's estimate of its kernel distance between the ``m >= 2``
+    count rows of ``X``, as an ``m x m`` matrix, and each pair's
+    ``rounding_slack``.
+
+    The estimate is ``N_i + N_j - 2 S_ij``, with norms ``N = X @ eff`` and
+    ``S_ij = sum eff * min(x_i, x_j)``. Counts are integers, so ``min(a, b)
+    = sum_{t >= 1} [a >= t][b >= t]``, and S is one product ``(V * eff[slot])
+    @ V.T`` of the 0/1 matrix V whose column (slot, t) marks the rows that
+    hold at least t of the slot. V keeps the thresholds up to a slot's
+    second-largest count only; the others feed only the diagonal, whose
+    estimate is not a distance. It is taken in column blocks, at most
+    ``_BLOCK_BYTES`` together with their copies scaled by ``eff``.
+    """
+    m, dim = X.shape
+    norms = X @ eff
+    # each slot's second-largest count: its largest if two rows hold that,
+    # else the largest below it
+    top = X.max(axis=0)
+    at_top = X == top
+    below = X.max(axis=0, where=~at_top, initial=0)
+    second = np.where(np.count_nonzero(at_top, axis=0) > 1, top, below).astype(np.intp)
+    slot = np.repeat(np.arange(dim), second)
+    t = np.arange(len(slot)) - np.repeat(second.cumsum() - second, second) + 1
+    S = np.zeros((m, m))
+    step = max(1, _BLOCK_BYTES // (16 * m))  # a block of V and its scaled copy
+    for lo in range(0, len(slot), step):
+        cols = slot[lo : lo + step]
+        V = X[:, cols]
+        np.greater_equal(V, t[lo : lo + step], out=V)
+        S += (V * eff[cols]) @ V.T
+    total = norms[:, None] + norms
+    # the estimate total - 2 S, in place; the norms and the kernel's row
+    # sums add dim terms, S one per column of V
+    S *= -2.0
+    S += total
+    return S, rounding_slack(dim + len(slot), total)
 
 
 def pairwise_distances(model: WeightModel, A: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from pqgrams import metric
 from pqgrams.cli import run
 from pqgrams.datasets import gen_strings
 from pqgrams.grams import GramShape, Vocabulary, build_vocabulary, count_matrix, profile
@@ -34,11 +35,12 @@ from pqgrams.metric import (
     pairwise_distances,
     sigmoid,
     softplus,
+    threshold_estimates,
     weighted_distance,
 )
 from pqgrams.tree import parse_tree
 
-from conftest import random_tree_raw
+from conftest import random_tree_raw, weight_draws
 from oracles import naive_loss
 
 S12 = GramShape(1, 2)
@@ -239,6 +241,95 @@ def test_pair_validity_postcondition():
     impostors = find_impostors(profiles, labels, model, targets, k=2)
     assert all(labels[i] == labels[j] and i != j for i, j in targets)
     assert all(labels[i] != labels[j] for i, j in impostors)
+
+
+def tied_corpus(rng, n_classes=3, per_class=8):
+    """Random small trees in interleaved classes, with one tree in every
+    class and a copy inside a class, so that distances tie exactly."""
+    labels = [i % n_classes for i in range(n_classes * per_class)]
+    trees = [random_tree_raw(rng.randrange(1, 9), rng) for _ in labels]
+    for lab in range(1, n_classes):
+        trees[lab] = trees[0]
+    trees[n_classes] = trees[0]
+    return encode_dataset([LabeledTree(t, lab) for t, lab in zip(trees, labels)], S12)
+
+
+def assert_impostors_are_the_kernels(model, profiles, labels, ks=(1, 2, 3)):
+    for k in ks:
+        want_targets, want_impostors = one_pair_at_a_time(model, profiles, labels, k)
+        targets = build_targets(profiles, labels, model, k)
+        assert targets == want_targets
+        assert find_impostors(profiles, labels, model, targets, k) == want_impostors
+
+
+def test_impostors_equal_the_kernel_only_route_over_weight_draws():
+    rng = random.Random(31)
+    np_rng = np.random.default_rng(31)
+    for trial in range(2):
+        vocab, profiles, labels = tied_corpus(rng)
+        # equal weights off 1 turn W_INIT's integer ties into rounding near-ties
+        for w in [*weight_draws(np_rng, vocab.dim), np.full(vocab.dim, -2.25)]:
+            assert_impostors_are_the_kernels(WeightModel(vocab, w), profiles, labels)
+
+
+def test_impostors_at_integer_ties_keep_the_strict_radius():
+    # "a(b,c)" is in both classes. Tree 1's radius is 6, its distance to its
+    # target 0; trees 2 and 3 of the other class are at exactly 6 from it
+    texts = [("a(b,c)", 0), ("a(b,d)", 0), ("a(b,c)", 1), ("a(b,e)", 1), ("x(y)", 0), ("x(z)", 1)]
+    _, vocab, profiles, labels = encoded(texts)
+    model = WeightModel.initial(vocab)
+    X = count_matrix(profiles, vocab)
+    d = pairwise_distances(model, X, X)
+    targets = build_targets(profiles, labels, model, k=1)
+    assert (1, 0) in targets and d[1, 0] == d[1, 2] == d[1, 3] == 6.0
+    impostors = find_impostors(profiles, labels, model, targets, k=1)
+    assert (0, 2) in impostors and (2, 0) in impostors  # at distance 0
+    assert (1, 2) not in impostors and (1, 3) not in impostors  # at the radius
+    assert (4, 5) in impostors  # at 6, inside a radius of 8
+    assert_impostors_are_the_kernels(model, profiles, labels, ks=(1, 2))
+
+
+def test_threshold_estimates_are_within_their_slack_of_the_kernel():
+    rng = random.Random(37)
+    np_rng = np.random.default_rng(37)
+    vocab, profiles, labels = tied_corpus(rng)
+    X = count_matrix(profiles, vocab)
+    off = ~np.eye(len(X), dtype=bool)
+    for w in [*weight_draws(np_rng, vocab.dim), np.full(vocab.dim, -2.25)]:
+        model = WeightModel(vocab, w)
+        est, slack = threshold_estimates(X, model.effective_weights())
+        gap = np.abs(est - pairwise_distances(model, X, X))
+        assert np.isfinite(slack).all() and (gap[off] <= slack[off] / 2).all()
+
+
+def test_impostors_without_a_rounding_bound_are_scored_by_the_kernel():
+    rng = random.Random(41)
+    np_rng = np.random.default_rng(41)
+    vocab, profiles, labels = tied_corpus(rng)
+    X = count_matrix(profiles, vocab)
+    # every weight near 1e306; then ordinary weights but for the three most
+    # common slots near overflow, where norms overflow and distances need not
+    huge = 1e306 * np_rng.uniform(1.0, 1.5, vocab.dim)
+    mixed = np_rng.normal(0.0, 2.0, vocab.dim)
+    mixed[np.argsort(-np.count_nonzero(X, axis=0), kind="stable")[:3]] = 1e307
+    models = [WeightModel(vocab, w) for w in (huge, mixed)]
+    slack = [threshold_estimates(X, model.effective_weights())[1] for model in models]
+    assert np.isinf(slack[0]).all() and np.isinf(slack[1]).any() and np.isfinite(slack[1]).any()
+    for model in models:
+        assert_impostors_are_the_kernels(model, profiles, labels)
+
+
+def test_impostors_over_several_column_blocks(monkeypatch):
+    rng = random.Random(43)
+    np_rng = np.random.default_rng(43)
+    vocab, profiles, labels = tied_corpus(rng)
+    X = count_matrix(profiles, vocab)
+    # five columns of V to a block; V has one column per slot and threshold
+    # up to the slot's second-largest count
+    monkeypatch.setattr(metric, "_BLOCK_BYTES", 16 * len(X) * 5)
+    assert np.sort(X, axis=0)[-2].sum() > 3 * 5
+    for w in weight_draws(np_rng, vocab.dim):
+        assert_impostors_are_the_kernels(WeightModel(vocab, w), profiles, labels)
 
 
 # --- loss and gradient ------------------------------------------------------
