@@ -71,14 +71,15 @@ class TreeDistance:
 class GramDistance(TreeDistance):
     """Weighted gram distance of one model, over cached gram profiles.
 
-    ``query_distances`` gives one query's distances to a whole reference
-    list in one kernel call, each bit for bit the pair call
-    ``self(ref, query)``. ``nearest`` gives the indices of the k nearest
-    references: a cheap estimate with a proven error bound picks the few
-    references that can be among them, and only those are scored, by the
-    same kernel, so no distance ever comes from the estimate. The last
-    reference list's ``CountRows`` and its ``SlotIndex`` are kept with a
-    copy of that list, and reused while the next list compares equal to it.
+    ``query_distances`` scores one query against every reference of a list
+    as one pair list through the kernel that pair calls use, so each
+    distance is bit for bit ``self(ref, query)``. ``nearest`` gives the
+    indices of the k nearest references: a cheap estimate with a proven
+    error bound picks the few references that can be among them, and only
+    those are scored, by the same kernel, so no distance ever comes from the
+    estimate. The last reference list's ``CountRows`` and its ``SlotIndex``
+    are kept with a copy of that list, and reused while the next list
+    compares equal to it.
     """
 
     def __init__(self, name: str, model: WeightModel):

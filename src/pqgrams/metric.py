@@ -6,16 +6,15 @@ effective weights strictly positive, so the distance stays a pseudo-metric
 (distinct trees may still sit at distance zero) for any finite parameters.
 
 Every weighted distance, from one pair to a training set or a k-NN
-reference list, comes out of one kernel in ``CountRows``, so pair calls,
-targets, impostors and k-NN see identical distances and ties.
-``CountRows.distances`` scores one row against a run of rows;
-``CountRows.pair_distances`` scores a list of (query, reference) pairs,
-such as the impostor pairs near a radius and the k-NN candidates, with the
-same elements and row sums. Two filters estimate distances as
-``|x| + |y| - 2 sum eff * min(x, y)``, within ``rounding_slack`` of the
-kernel: ``SlotIndex``, one query against every reference, picks which
-references the kernel must score for the k nearest, and
-``threshold_estimates``, every pair of a training set at once, decides
+reference list, comes out of one kernel, ``CountRows.pair_distances``, which
+scores a list of (query, reference) pairs, so pair calls, targets,
+impostors and k-NN see identical distances and ties. The other distance
+functions only choose the pairs: a grid, a triangle, one query against
+every reference, or the impostor pairs near a radius. Two filters estimate
+distances as ``|x| + |y| - 2 sum eff * min(x, y)``, within
+``rounding_slack`` of the kernel: ``SlotIndex``, one query against every
+reference, picks which references the kernel must score for the k nearest,
+and ``threshold_estimates``, every pair of a training set at once, decides
 which impostor pairs the kernel must score. Neither ever supplies a
 distance. Only the loss's ``_PairTerms.distances`` sums in another order
 (last bits can differ); the loss gradient sums integer counts, exactly, in
@@ -142,60 +141,46 @@ def rounding_slack(n: int, total):
 @dataclass(frozen=True, eq=False)
 class CountRows:
     """Count rows over ``dim`` slots, held as their row-major nonzeros: row
-    ``r`` owns entries ``starts[r]:starts[r + 1]``, each with its flat
-    position ``r * dim + slot`` in a C-contiguous ``rows x dim`` matrix, its
-    slot and its float64 count. The kernel rebuilds full, ``dim``-long rows
-    in blocks of at most ``_BLOCK_BYTES``: ``|query| * eff`` (exactly the
-    term of a slot where the reference is zero) with the reference's
-    nonzero terms patched in, each element the dense formula's float. Each
-    distance is one sum over a contiguous row, so it depends on its two rows
-    only, never on the block or call around them. ``distances`` scores one
-    query against a run of rows; ``pair_distances`` scores a list of
-    (query, reference) pairs, with the same elements and row sums.
+    ``r`` owns entries ``starts[r]:starts[r + 1]``, each with its slot and
+    its float64 count. ``pair_distances`` is the one weighted-distance
+    kernel; every other distance in this module is a pair list through it.
     """
 
     dim: int
     starts: np.ndarray
-    pos: np.ndarray
     slots: np.ndarray
     vals: np.ndarray
 
     @classmethod
     def of_matrix(cls, B: np.ndarray) -> "CountRows":
         r, c = np.nonzero(B)
-        starts = np.searchsorted(r, np.arange(len(B) + 1))
-        return cls(B.shape[1], starts, r * B.shape[1] + c, c, B[r, c])
+        return cls(B.shape[1], np.searchsorted(r, np.arange(len(B) + 1)), c, B[r, c])
 
     @classmethod
     def of_profiles(cls, profiles: list[Profile], dim: int) -> "CountRows":
-        lens = [len(p.indices) for p in profiles]
         slots = np.concatenate([np.empty(0, np.int64), *(p.indices for p in profiles)])
         vals = np.concatenate([np.empty(0), *(p.counts for p in profiles)])
-        rows = np.repeat(np.arange(len(lens)), lens)
-        return cls(dim, np.cumsum([0, *lens]), rows * dim + slots, slots, vals)
+        return cls(dim, np.cumsum([0, *(len(p.indices) for p in profiles)]), slots, vals)
 
-    def distances(self, eff: np.ndarray, row: np.ndarray, start: int = 0) -> np.ndarray:
-        """sum_i eff_i * |ref_i - row_i| for rows ``start:``, blocks counted from there."""
-        n, dim = len(self.starts) - 1, self.dim
-        step = max(1, _BLOCK_BYTES // (8 * dim))
-        out = np.empty(n - start)
-        block = np.empty((min(step, n - start), dim))
-        base = np.abs(row) * eff
-        for lo in range(start, n, step):
-            hi = min(n, lo + step)
-            s = slice(self.starts[lo], self.starts[hi])
-            buf = block[: hi - lo]
-            buf[:] = base
-            terms = np.abs(self.vals[s] - row[self.slots[s]]) * eff[self.slots[s]]
-            buf.reshape(-1)[self.pos[s] - lo * dim] = terms
-            out[lo - start : hi - start] = buf.sum(axis=1)
-        return out
+    def distances(self, eff: np.ndarray, row: np.ndarray) -> np.ndarray:
+        """sum_i eff_i * |ref_i - row_i| for every row, in row order: the
+        pair list of ``row`` against each row."""
+        n = len(self.starts) - 1
+        return self.pair_distances(eff, row[None], np.zeros(n, np.intp), np.arange(n))
 
     def pair_distances(
         self, eff: np.ndarray, Q: np.ndarray, a: np.ndarray, b: np.ndarray
     ) -> np.ndarray:
-        """d[r] = sum_i eff_i * |ref_i - Q[a[r], i]| for reference ``b[r]``:
-        ``distances(eff, Q[a[r]])[b[r]]``, bit for bit."""
+        """d[r] = sum_i eff_i * |ref_i - Q[a[r], i]| for reference ``b[r]``.
+
+        Each pair gets a full, ``dim``-long row, in blocks of at most
+        ``_BLOCK_BYTES``: ``|Q[a[r]]| * eff`` (exactly the term of a slot
+        where the reference is zero) with the reference's nonzero terms
+        patched in, each element the dense formula's float. Each distance is
+        one sum over a contiguous row, so it depends on its two rows only,
+        never on the block or call around them. ``a`` and ``b`` are not
+        checked: an index out of range gives a wrong distance or an error.
+        """
         dim = self.dim
         step = max(1, _BLOCK_BYTES // (8 * dim))
         flat_q = Q.reshape(-1)
@@ -315,46 +300,54 @@ def threshold_estimates(X: np.ndarray, eff: np.ndarray) -> tuple[np.ndarray, np.
     return S, rounding_slack(dim + len(slot), total)
 
 
+def _pair_list(
+    model: WeightModel, Q: np.ndarray, B: np.ndarray, a: np.ndarray, b: np.ndarray
+) -> np.ndarray:
+    """``pair_distances`` of the count rows ``Q[a]``, as float64, against ``B[b]``."""
+    Q = np.asarray(Q, dtype=np.float64)
+    return CountRows.of_matrix(B).pair_distances(model.effective_weights(), Q, a, b)
+
+
 def pairwise_distances(model: WeightModel, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """D[a, b] = sum_i softplus(w_i) * |A[a, i] - B[b, i]| over dense count rows.
 
-    One kernel call per row of ``A``. Exactly symmetric, exactly 0 for
-    equal rows, and integer-exact at W_INIT (effective weights of 1).
+    The kernel over the ``len(A) x len(B)`` grid of pairs. Exactly
+    symmetric, exactly 0 for equal rows, and integer-exact at W_INIT
+    (effective weights of 1).
     """
-    eff = model.effective_weights()
-    rows = CountRows.of_matrix(B)
-    D = np.empty((len(A), len(B)))
-    for a, row in enumerate(A):
-        D[a] = rows.distances(eff, row)
-    return D
+    a, b = np.indices((len(A), len(B))).reshape(2, -1)
+    return _pair_list(model, A, B, a, b).reshape(len(A), len(B))
 
 
 def symmetric_distances(model: WeightModel, X: np.ndarray) -> np.ndarray:
-    """``pairwise_distances(model, X, X)``, computing only the upper triangle."""
-    eff = model.effective_weights()
-    rows = CountRows.of_matrix(X)
+    """``pairwise_distances(model, X, X)``, scoring only the upper triangle."""
+    a, b = np.triu_indices(len(X), 1)
     D = np.zeros((len(X), len(X)))
-    for a in range(len(X) - 1):
-        D[a, a + 1 :] = rows.distances(eff, X[a], a + 1)
+    D[a, b] = _pair_list(model, X, X, a, b)
     # adding the zero lower triangle is exact: the mirror is bit for bit
     return D + D.T
 
 
 def paired_distances(model: WeightModel, X: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     """d[r] = ``pairwise_distances(model, X[i:i+1], X[j:j+1])`` for row ``r = (i, j)``
-    of the ``n x 2`` index array ``pairs``, bit for bit: one ``pair_distances`` call."""
-    i, j = np.asarray(pairs).reshape(-1, 2).T
-    return CountRows.of_matrix(X).pair_distances(model.effective_weights(), X, i, j)
+    of the ``n x 2`` index array ``pairs``, bit for bit. Raises ``IndexError``
+    naming the first pair with an index outside ``0 <= i, j < len(X)``."""
+    pairs = np.asarray(pairs).reshape(-1, 2)
+    if (bad := np.flatnonzero(((pairs < 0) | (pairs >= len(X))).any(axis=1))).size:
+        i, j = pairs[bad[0]].tolist()
+        raise IndexError(f"pair {bad[0]} ({i}, {j}) is outside 0 <= i, j < {len(X)}")
+    return _pair_list(model, X, X, *pairs.T)
 
 
 def weighted_distance(model: WeightModel, x: Profile, y: Profile) -> float:
     """sum_i softplus(w_i) * |x_i - y_i|; non-negative and symmetric.
 
-    A 1x1 call into ``pairwise_distances``, so it agrees bit for bit with
-    every batched distance.
+    The kernel on the one pair (x, y), so it agrees bit for bit with every
+    batched distance.
     """
     rows = count_matrix([x, y], model.vocab)
-    return float(pairwise_distances(model, rows[:1], rows[1:])[0, 0])
+    at = np.zeros(1, np.intp)
+    return float(_pair_list(model, rows, rows[1:], at, at)[0])
 
 
 def distance_gradient(model: WeightModel, x: Profile, y: Profile) -> np.ndarray:

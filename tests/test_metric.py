@@ -1,9 +1,11 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 
+from pqgrams import metric
 from pqgrams.grams import (
     GramShape,
     Vocabulary,
@@ -302,6 +304,96 @@ def test_paired_distances_equal_pair_calls_bit_for_bit():
     assert len(pairs) > _BLOCK_BYTES // (8 * dim)
     want = [pairwise_distances(model, X[i : i + 1], X[j : j + 1])[0, 0] for i, j in pairs]
     assert paired_distances(model, X, pairs).tobytes() == np.array(want).tobytes()
+
+
+def test_paired_distances_reject_pairs_out_of_range():
+    rng = random.Random(45)
+    ts = [random_tree_raw(rng.randrange(2, 12), rng) for _ in range(5)]
+    v = build_vocabulary(ts, S12)
+    X = count_matrix([profile(t, v) for t in ts], v)
+    model = WeightModel.initial(v)
+    for bad in ([-1, 1], [1, -1], [7, 1], [1, 5], [5, 5]):
+        pairs = [[0, 1], [4, 0], bad, [-2, 9]]
+        want = re.escape(f"pair 2 ({bad[0]}, {bad[1]}) is outside 0 <= i, j < 5")
+        with pytest.raises(IndexError, match=want):
+            paired_distances(model, X, pairs)
+    # the last row and empty pair lists are in range
+    got = paired_distances(model, X, [[4, 0], [0, 4]])
+    assert got.tolist() == [dense_formula(model, X[4:], X[:1])[0, 0]] * 2
+    assert paired_distances(model, X, np.empty((0, 2), np.intp)).shape == (0,)
+    with pytest.raises(IndexError, match="outside"):
+        paired_distances(model, X[:0], [[0, 0]])
+
+
+def assert_constructors_agree(profiles, v):
+    a = CountRows.of_matrix(count_matrix(profiles, v))
+    b = CountRows.of_profiles(profiles, v.dim)
+    assert a.dim == b.dim
+    for name in ("starts", "slots", "vals"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype, name
+        assert x.tobytes() == y.tobytes(), name
+
+
+def test_count_rows_of_matrix_equals_of_profiles():
+    rng = random.Random(47)
+    oov_only = parse_tree("zz(yy,xx(ww))")
+    for trial in range(8):
+        seen = [random_tree_raw(rng.randrange(1, 20), rng) for _ in range(rng.randrange(1, 6))]
+        v = build_vocabulary(seen, S12)
+        # unseen trees put grams into the OOV slot, and one holds only OOV grams
+        unseen = [random_tree_raw(rng.randrange(1, 20), rng) for _ in range(rng.randrange(0, 6))]
+        ps = [profile(t, v) for t in seen + unseen + [oov_only]]
+        assert ps[-1].indices.tolist() == [v.oov_id]
+        rng.shuffle(ps)
+        assert_constructors_agree(ps, v)
+        assert_constructors_agree([], v)
+
+
+def test_views_on_zero_and_one_rows_equal_dense_formula():
+    np_rng = np.random.default_rng(49)
+    for dim in (1, 7, 129):
+        v = Vocabulary(S12, [(f"l{i}", "*", "*") for i in range(dim - 1)])
+        for w in weight_draws(np_rng, dim):
+            model = WeightModel(v, w)
+            X = (np_rng.integers(0, 5, (4, dim)) * (np_rng.random((4, dim)) < 0.4)).astype(float)
+            for n in (0, 1):
+                A = X[:n]
+                got = symmetric_distances(model, A)
+                assert got.shape == (n, n)
+                assert got.tobytes() == dense_formula(model, A, A).tobytes()
+                for P, R in ((A, X), (X, A), (A, A), (A, X[3:])):
+                    got = pairwise_distances(model, P, R)
+                    assert got.shape == (len(P), len(R))
+                    assert got.tobytes() == dense_formula(model, P, R).tobytes()
+            eff = model.effective_weights()
+            assert CountRows.of_matrix(X[:0]).distances(eff, X[0]).shape == (0,)
+
+
+def test_views_over_many_small_blocks_equal_dense_formula(monkeypatch):
+    np_rng = np.random.default_rng(53)
+    dim, m = 7, 11
+    v = Vocabulary(S12, [(f"l{i}", "*", "*") for i in range(dim - 1)])
+    X = (np_rng.integers(0, 5, (m, dim)) * (np_rng.random((m, dim)) < 0.5)).astype(float)
+    X[0] = 0.0
+    Y = X[::-1].copy()
+    # three pairs to a block, which divides none of the pair counts, then
+    # one pair to a block (fewer block bytes than one row takes)
+    for block_bytes in (8 * dim * 3, 1):
+        monkeypatch.setattr(metric, "_BLOCK_BYTES", block_bytes)
+        for w in weight_draws(np_rng, dim):
+            model = WeightModel(v, w)
+            eff = model.effective_weights()
+            want = dense_formula(model, X, X)
+            assert symmetric_distances(model, X).tobytes() == want.tobytes()
+            assert pairwise_distances(model, X, Y).tobytes() == dense_formula(model, X, Y).tobytes()
+            pairs = np_rng.integers(0, m, (40, 2))
+            got = paired_distances(model, X, pairs)
+            assert got.tobytes() == want[pairs[:, 0], pairs[:, 1]].tobytes()
+            rows = CountRows.of_matrix(Y)
+            for q in X:
+                one_row = dense_formula(model, q[None], Y)[0]
+                assert rows.distances(eff, q).tobytes() == one_row.tobytes()
 
 
 def test_estimates_are_within_slack_of_the_kernel():
