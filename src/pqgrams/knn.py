@@ -29,6 +29,9 @@ class TreeDistance:
     benchmark can charge encoding to the measured pipeline; ``__call__``
     encodes lazily on cache misses. Encoded values are cached per tree
     object identity, which is safe because trees are immutable.
+    ``query_distances`` and ``nearest`` score one query against a list of
+    references, pair by pair; a subclass may speed either up, as long as it
+    returns what these do.
     """
 
     def __init__(
@@ -67,19 +70,25 @@ class TreeDistance:
             return self._pair_fn(t1, t2)
         return self._pair_fn(self._encode(t1), self._encode(t2))
 
+    def query_distances(self, refs: Sequence[Tree], query: Tree) -> np.ndarray:
+        """``[self(r, query) for r in refs]`` as a float64 array."""
+        return np.array([self(r, query) for r in refs], dtype=np.float64)
+
+    def nearest(self, refs: Sequence[Tree], query: Tree, k: int) -> np.ndarray:
+        """Indices of the k nearest references; a stable sort keeps equal
+        distances in reference order."""
+        return np.argsort(self.query_distances(refs, query), kind="stable")[:k]
+
 
 class GramDistance(TreeDistance):
     """Weighted gram distance of one model, over cached gram profiles.
 
-    ``query_distances`` scores one query against every reference of a list
-    as one pair list through the kernel that pair calls use, so each
-    distance is bit for bit ``self(ref, query)``. ``nearest`` gives the
-    indices of the k nearest references: a cheap estimate with a proven
-    error bound picks the few references that can be among them, and only
-    those are scored, by the same kernel, so no distance ever comes from the
-    estimate. The last reference list's ``CountRows`` and its ``SlotIndex``
-    are kept with a copy of that list, and reused while the next list
-    compares equal to it.
+    ``nearest`` gives the indices of the k nearest references: a cheap
+    estimate with a proven error bound picks the few references that can be
+    among them, and only those are scored, by the same kernel as pair calls,
+    so no distance ever comes from the estimate. The last reference list's
+    ``CountRows`` and its ``SlotIndex`` are kept with a copy of that list,
+    and reused while the next list compares equal to it.
     """
 
     def __init__(self, name: str, model: WeightModel):
@@ -104,17 +113,11 @@ class GramDistance(TreeDistance):
             self._refs = (refs, SlotIndex(rows, self.model.effective_weights()))
         return self._refs[1]
 
-    def _row(self, query: Tree) -> np.ndarray:
-        return count_matrix([self._encode(query)], self.model.vocab)[0]
-
-    def query_distances(self, refs: Sequence[Tree], query: Tree) -> np.ndarray:
-        """``[self(r, query) for r in refs]`` as an array, in one call."""
-        return self._index(refs).rows.distances(self.model.effective_weights(), self._row(query))
-
     def nearest(self, refs: Sequence[Tree], query: Tree, k: int) -> np.ndarray:
         """``np.argsort(self.query_distances(refs, query), kind="stable")[:k]``,
         scoring only the references that can be among the k nearest."""
-        return self._index(refs).nearest(self._row(query), k)
+        row = count_matrix([self._encode(query)], self.model.vocab)[0]
+        return self._index(refs).nearest(row, k)
 
 
 def weighted_gram_distance(model: WeightModel | TrainedModel) -> GramDistance:
@@ -145,16 +148,10 @@ def edit_distance_baseline() -> TreeDistance:
 def knn_classify(
     train: Sequence[LabeledTree],
     query: Tree,
-    dist: Callable[[Tree, Tree], float],
+    dist: TreeDistance,
     k: int,
 ) -> int:
-    """Majority label of the k nearest training points.
-
-    A :class:`GramDistance` gives the k nearest in one ``nearest`` call: an
-    estimate with a proven error bound picks the training trees that can be
-    among them, and only those are scored, by the same kernel as every
-    other gram distance, so no distance comes from the estimate. Any other
-    distance is called once per (training tree, query) pair.
+    """Majority label of the k nearest training points, by ``dist.nearest``.
 
     Tie ladder: equal distances prefer the lower training index; tied votes
     prefer the nearest neighbor's label, then the smaller class id.
@@ -165,12 +162,7 @@ def knn_classify(
         raise ValueError("empty training set")
     if len(train) < k:
         raise ValueError(f"need at least k={k} training points, have {len(train)}")
-    if isinstance(dist, GramDistance):
-        nearest = dist.nearest([item.tree for item in train], query, k).tolist()
-    else:
-        d = [dist(item.tree, query) for item in train]
-        # a stable sort keeps equal distances in training order
-        nearest = np.argsort(d, kind="stable")[:k].tolist()
+    nearest = dist.nearest([item.tree for item in train], query, k).tolist()
     votes: dict[int, int] = {}
     for i in nearest:
         lab = train[i].label
@@ -183,6 +175,18 @@ def knn_classify(
     if nearest_label in winners:
         return nearest_label
     return min(winners)
+
+
+def _timed_inference(
+    train: Sequence[LabeledTree], queries: Sequence[Tree], dist: TreeDistance, k: int
+) -> tuple[list[int], float]:
+    """Prepare the training trees, then the queries, then classify each
+    query: the predictions, and the seconds all of that took."""
+    t0 = time.perf_counter()
+    dist.prepare([item.tree for item in train])
+    dist.prepare(queries)
+    preds = [knn_classify(train, q, dist, k) for q in queries]
+    return preds, time.perf_counter() - t0
 
 
 def stratified_folds(
@@ -268,15 +272,14 @@ def cross_validate(
 
     ``dist_builder`` receives each fold's training items (where any metric
     learning happens) and returns the distance used to classify that fold.
-    Each query goes through ``knn_classify``, which says which distances
-    it computes. Timed inference covers encoding plus classification, not
-    training.
+    Each query is classified by ``knn_classify`` through ``dist.nearest``.
+    Timed inference covers encoding plus classification, not training.
     ``threads`` has no effect: queries are classified serially, which
-    measured faster than a thread pool under the interpreter lock.
+    measured faster than a thread pool under the interpreter lock. The
+    report carries the last fold's distance name.
     """
     labels = [item.label for item in data]
     parts = stratified_folds(labels, folds, seed)
-    name = None
     fold_errors: list[float] = []
     fold_seconds: list[float] = []
     predictions: list[tuple[int, int]] = []
@@ -291,18 +294,12 @@ def cross_validate(
                 "use fewer folds or more data"
             )
         dist = dist_builder(train_items)
-        if name is None:
-            name = dist.name
-        t0 = time.perf_counter()
-        dist.prepare([item.tree for item in train_items])
-        dist.prepare([data[i].tree for i in part])
-        preds = [knn_classify(train_items, data[i].tree, dist, k) for i in part]
-        elapsed = time.perf_counter() - t0
+        preds, elapsed = _timed_inference(train_items, [data[i].tree for i in part], dist, k)
         wrong = sum(1 for i, pred in zip(part, preds) if pred != data[i].label)
         fold_errors.append(wrong / len(part))
         fold_seconds.append(elapsed)
         predictions.extend(zip(part, preds))
-    return EvalReport(name or "?", parts, fold_errors, fold_seconds, predictions)
+    return EvalReport(dist.name, parts, fold_errors, fold_seconds, predictions)
 
 
 @dataclass
@@ -337,10 +334,10 @@ def benchmark_inference(
 ) -> BenchResult:
     """Time the full inference pipeline: encoding, the train x test
     distances that the k nearest need, and the majority votes. Each test
-    tree goes through ``knn_classify``, which says which distances it
-    computes. Repeated ``repeats`` times from a cold cache, single-threaded
-    so ratios reflect algorithmic cost rather than core count; ``threads``
-    has no effect.
+    tree is classified by ``knn_classify`` through ``dist.nearest``.
+    Repeated ``repeats`` times from a cold cache, single-threaded so ratios
+    reflect algorithmic cost rather than core count; ``threads`` has no
+    effect.
     """
     if not train or not test:
         raise ValueError("train and test must be non-empty")
@@ -349,10 +346,5 @@ def benchmark_inference(
     runs: list[float] = []
     for _ in range(repeats):
         dist.clear_cache()
-        t0 = time.perf_counter()
-        dist.prepare([item.tree for item in train])
-        dist.prepare(test)
-        for q in test:
-            knn_classify(train, q, dist, k)
-        runs.append(time.perf_counter() - t0)
+        runs.append(_timed_inference(train, test, dist, k)[1])
     return BenchResult(dist.name, runs)

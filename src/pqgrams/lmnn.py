@@ -492,6 +492,8 @@ class ModelFormatError(ValueError):
 
 # what reading with errors="surrogateescape" makes of a byte that is not UTF-8
 _UNDECODABLE = re.compile("[\udc80-\udcff]")
+# the line boundaries of str.splitlines, which load_model splits on, but "\n"
+_OTHER_BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 def save_model(trained: TrainedModel, path) -> None:
@@ -509,8 +511,30 @@ def save_model(trained: TrainedModel, path) -> None:
     for i, tup in enumerate(vocab.tuples):
         lines.append("\t".join(tup) + "\t" + repr(float(model.w[i])))
     lines.append("OOV " + repr(float(model.w[vocab.oov_id])))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    text = "\n".join(lines) + "\n"
+    # scans of the finished text, not a loop over labels: a tab, a line break
+    # or a leading "OOV " inside a label shows here, and only then is it found
+    width = vocab.shape.p + vocab.shape.q
+    if (
+        text.count("\t") != width * len(vocab.tuples)
+        or text.count("\n") != len(lines)
+        or any(c in text for c in _OTHER_BREAKS)
+        or text.count("\nOOV ") != 1
+    ):
+        bad = next(tup for tup in vocab.tuples if _unsavable(tup))
+        raise ValueError(
+            f"label tuple {bad!r} cannot be saved: a label in a model file holds no "
+            "tab or line break, and a first label cannot start with 'OOV '"
+        )
+    data = text.encode("utf-8")  # before the file opens: a lone surrogate raises here
+    with open(path, "wb") as fh:
+        fh.write(data)
+
+
+def _unsavable(tup: tuple[str, ...]) -> bool:
+    """Whether a tuple's model-file line would not read back as that tuple."""
+    line = "\t".join(tup) + "\t0"
+    return line.startswith("OOV ") or line.count("\t") != len(tup) or len(line.splitlines()) != 1
 
 
 def _parse_config_comment(text: str) -> TrainConfig:

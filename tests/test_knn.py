@@ -19,6 +19,7 @@ from pqgrams.knn import (
 )
 from pqgrams.lmnn import LabeledTree, TrainConfig, train
 from pqgrams.metric import W_INIT, WeightModel
+from pqgrams.ted import tree_edit_distance
 from pqgrams.tree import parse_tree, serialize_tree
 
 from conftest import random_tree_raw, weight_draws
@@ -223,6 +224,28 @@ def test_benchmark_rejects_empty_inputs():
         benchmark_inference(data, [data[0].tree], pq_dist_for(data), 1, repeats=0)
 
 
+def test_benchmark_extracts_each_tree_once_per_repeat(monkeypatch):
+    from pqgrams import grams
+
+    rng = random.Random(11)
+    data = [LabeledTree(random_tree(10, rng, attach_window=3), i % 2) for i in range(12)]
+    tests = [random_tree(10, rng, attach_window=3) for _ in range(5)]
+    calls = Counter()
+    extract = grams.extract_grams
+
+    def counted(t, shape):
+        calls[id(t)] += 1
+        return extract(t, shape)
+
+    monkeypatch.setattr(grams, "extract_grams", counted)
+    dist = pq_dist_for(data)
+    assert calls == Counter({id(it.tree): 1 for it in data})
+    benchmark_inference(data, tests, dist, k=3, repeats=3)
+    # the cold cache of every repeat encodes each tree once more
+    want = Counter({id(it.tree): 4 for it in data}) + Counter({id(t): 3 for t in tests})
+    assert calls == want
+
+
 def test_edit_distance_baseline_plugs_in():
     data = items(("a(b,c)", 0), ("a(b,d)", 0), ("z(z(z))", 1), ("z(z(y))", 1))
     report = cross_validate(data, lambda tr: edit_distance_baseline(), k=1, folds=2, seed=0)
@@ -241,6 +264,21 @@ def ladder(dists, labels, k):
         return winners[0]
     first = labels[nearest[0]]
     return first if first in winners else min(winners)
+
+
+def test_edit_distance_knn_follows_the_ladder_at_tied_distances():
+    # single-node and small trees at edit distances 0, 1 and 2, with repeats
+    data = items(
+        ("a", 0), ("b", 1), ("a", 1), ("c", 0), ("a(b)", 2), ("b", 0), ("a(c)", 1), ("d(e)", 2),
+    )
+    trees = [it.tree for it in data]
+    labels = [it.label for it in data]
+    dist = edit_distance_baseline()
+    for q in map(parse_tree, ("a", "b", "e", "a(b)", "b(a)", "x(y,z)")):
+        dists = [tree_edit_distance(t, q) for t in trees]
+        assert len(set(dists)) < len(dists)  # ties to break
+        for k in (1, 2, 3):
+            assert knn_classify(data, q, dist, k) == ladder(dists, labels, k)
 
 
 def test_batched_distances_match_pair_calls_bit_for_bit():

@@ -811,6 +811,48 @@ def test_model_file_not_utf8_rejected_with_line_number(tmp_path, capsys):
     assert "m.txt:3: not valid UTF-8" in capsys.readouterr().err
 
 
+def save_direct(tuples, path):
+    """Save the initial model of a vocabulary built directly from tuples,
+    which accepts any label, not only the ones a tree accepts."""
+    vocab = Vocabulary(GramShape(1, 1), tuples)
+    save_model(TrainedModel(WeightModel(vocab, np.linspace(-1.0, 1.0, vocab.dim)), None), path)
+    return vocab
+
+
+@pytest.mark.parametrize(
+    "tuples, bad",
+    [
+        ([("x", "y"), ("a\tb", "c")], ("a\tb", "c")),
+        ([("a\nb", "c")], ("a\nb", "c")),
+        ([("x", "y"), ("a\x85", "c")], ("a\x85", "c")),
+        ([("x", "y"), ("a", "c\u2028")], ("a", "c\u2028")),
+        ([("x", "y"), ("OOV 1.0", "c")], ("OOV 1.0", "c")),
+    ],
+    ids=["tab", "newline", "nel", "line-separator", "oov-keyword"],
+)
+def test_save_model_rejects_a_label_the_file_cannot_hold(tmp_path, tuples, bad):
+    path = tmp_path / "m.txt"
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        save_direct(tuples, path)
+    assert not path.exists()
+
+
+def test_save_model_rejects_a_lone_surrogate_before_writing(tmp_path):
+    path = tmp_path / "m.txt"
+    with pytest.raises(UnicodeEncodeError):
+        save_direct([("x", "y"), ("a\ud800", "c")], path)
+    assert not path.exists()
+
+
+def test_save_model_round_trips_empty_hash_and_oov_like_labels(tmp_path):
+    tuples = [("", "c"), ("#", ""), ("#x", "OOV 1.0"), ("OOV", "y"), (" OOV 1", "z"), ("", "")]
+    path = tmp_path / "m.txt"
+    vocab = save_direct(tuples, path)
+    loaded = load_model(path)
+    assert loaded.vocab.tuples == vocab.tuples
+    assert loaded.model.w.tobytes() == np.linspace(-1.0, 1.0, vocab.dim).tobytes()
+
+
 def test_save_model_golden_file(tmp_path):
     vocab = build_vocabulary([parse_tree("a(b,#c)")], S12)
     w = np.array([W_INIT, 0.1, -2.5, 1e-300, 3.0, 0.5])
