@@ -287,16 +287,11 @@ def _cmd_inspect(args) -> int:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as e:
-        print(f"pqgrams: error: {e}", file=sys.stderr)
-        return 1
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as e:  # --help
         return int(e.code or 0)
-    try:
-        return args.func(args)
     except UsageError as e:
         print(f"pqgrams: error: {e}", file=sys.stderr)
         return 1

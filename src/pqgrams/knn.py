@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grams import GramShape, count_matrix, encode_trees, profile
+from .grams import GramShape, Profile, count_matrix, encode_trees, profile
 from .lmnn import LabeledTree, TrainedModel
 from .metric import CountRows, SlotIndex, WeightModel, weighted_distance
 from .ted import tree_edit_distance
@@ -23,51 +23,30 @@ from .tree import Tree
 
 
 class TreeDistance:
-    """Named distance over trees, with an optional precomputation hook.
+    """Named distance over trees: a pair function over their encodings.
 
-    ``prepare`` encodes trees ahead of time (e.g. into gram profiles) so a
-    benchmark can charge encoding to the measured pipeline; ``__call__``
-    encodes lazily on cache misses. Encoded values are cached per tree
-    object identity, which is safe because trees are immutable.
-    ``query_distances`` and ``nearest`` score one query against a list of
-    references, pair by pair; a subclass may speed either up, as long as it
-    returns what these do.
+    A tree is its own encoding, so ``prepare`` and ``clear_cache`` do
+    nothing. A subclass may override ``_encode`` to encode and cache, so that
+    ``prepare`` encodes ahead of time for a benchmark to charge, and
+    ``query_distances`` or ``nearest`` (one query against references, pair
+    by pair) to go faster, as long as it returns what these do.
     """
 
-    def __init__(
-        self,
-        name: str,
-        pair_fn: Callable,
-        encoder: Callable[[Tree], object] | None = None,
-    ):
+    def __init__(self, name: str, pair_fn: Callable):
         self.name = name
         self._pair_fn = pair_fn
-        self._encoder = encoder
-        self._cache: dict[int, object] = {}
-        self._keep: list[Tree] = []
 
     def clear_cache(self) -> None:
-        self._cache.clear()
-        self._keep.clear()
+        """Nothing is cached here; a subclass that caches drops its cache."""
 
     def prepare(self, trees: Sequence[Tree]) -> None:
-        if self._encoder is None:
-            return
         for t in trees:
             self._encode(t)
 
     def _encode(self, t: Tree):
-        key = id(t)
-        enc = self._cache.get(key)
-        if enc is None:
-            enc = self._encoder(t)
-            self._cache[key] = enc
-            self._keep.append(t)
-        return enc
+        return t
 
     def __call__(self, t1: Tree, t2: Tree) -> float:
-        if self._encoder is None:
-            return self._pair_fn(t1, t2)
         return self._pair_fn(self._encode(t1), self._encode(t2))
 
     def query_distances(self, refs: Sequence[Tree], query: Tree) -> np.ndarray:
@@ -81,7 +60,9 @@ class TreeDistance:
 
 
 class GramDistance(TreeDistance):
-    """Weighted gram distance of one model, over cached gram profiles.
+    """Weighted gram distance of one model, over gram profiles cached per
+    tree object identity, which is safe because trees are immutable; each
+    tree is kept with its profile, so its id is not reused.
 
     ``nearest`` gives the indices of the k nearest references: a cheap
     estimate with a proven error bound picks the few references that can be
@@ -92,17 +73,23 @@ class GramDistance(TreeDistance):
     """
 
     def __init__(self, name: str, model: WeightModel):
-        super().__init__(
-            name,
-            lambda x, y: weighted_distance(model, x, y),
-            encoder=lambda t: profile(t, model.vocab),
-        )
+        super().__init__(name, lambda x, y: weighted_distance(model, x, y))
         self.model = model
+        self._cache: dict[int, Profile] = {}
+        self._keep: list[Tree] = []
         self._refs: tuple[list[Tree], SlotIndex] | None = None
 
     def clear_cache(self) -> None:
-        super().clear_cache()
+        self._cache.clear()
+        self._keep.clear()
         self._refs = None
+
+    def _encode(self, t: Tree) -> Profile:
+        enc = self._cache.get(id(t))
+        if enc is None:
+            enc = self._cache[id(t)] = profile(t, self.model.vocab)
+            self._keep.append(t)
+        return enc
 
     def _index(self, refs: Sequence[Tree]) -> SlotIndex:
         # a copy, so later in-place edits of the caller's list are seen; list
@@ -162,19 +149,14 @@ def knn_classify(
         raise ValueError("empty training set")
     if len(train) < k:
         raise ValueError(f"need at least k={k} training points, have {len(train)}")
-    nearest = dist.nearest([item.tree for item in train], query, k).tolist()
+    labels = [train[i].label for i in dist.nearest([it.tree for it in train], query, k).tolist()]
     votes: dict[int, int] = {}
-    for i in nearest:
-        lab = train[i].label
+    for lab in labels:
         votes[lab] = votes.get(lab, 0) + 1
     top = max(votes.values())
-    winners = [lab for lab, c in votes.items() if c == top]
-    if len(winners) == 1:
-        return winners[0]
-    nearest_label = train[nearest[0]].label
-    if nearest_label in winners:
-        return nearest_label
-    return min(winners)
+    if votes[labels[0]] == top:
+        return labels[0]
+    return min(lab for lab, c in votes.items() if c == top)
 
 
 def _timed_inference(

@@ -248,15 +248,17 @@ class SlotIndex:
         kernel_j <= tau + slack < est_r - slack <= kernel_r: k rows strictly
         nearer, so r is not among the k nearest, whatever the tie-break.
         The candidates are scored by the kernel in ascending row order, so a
-        stable argsort of them keeps the full argsort's order on ties.
+        stable argsort of them keeps the full argsort's order on ties. With
+        no bound, or no row to leave out (k = 0 or k >= the row count), every
+        row is scored.
         """
         est, slack = self.estimates(row)
-        if slack < math.inf:
+        if slack < math.inf and 0 < k < len(est):
             cand = (est <= np.partition(est, k - 1)[k - 1] + 2 * slack).nonzero()[0]
         else:
             cand = np.arange(len(est))
-        if len(cand) == 1:  # k == 1, and the one row left is the nearest
-            return cand
+        if len(cand) == 1:  # k <= 1, or one row in all: that row is the nearest
+            return cand[:k]
         d = self.rows.pair_distances(self.eff, row[None], np.zeros_like(cand), cand)
         return cand[np.argsort(d, kind="stable")[:k]]
 
@@ -345,9 +347,10 @@ def weighted_distance(model: WeightModel, x: Profile, y: Profile) -> float:
     The kernel on the one pair (x, y), so it agrees bit for bit with every
     batched distance.
     """
-    rows = count_matrix([x, y], model.vocab)
+    rows = count_matrix([x, y], model.vocab)  # checks both vocabularies
     at = np.zeros(1, np.intp)
-    return float(_pair_list(model, rows, rows[1:], at, at)[0])
+    ref = CountRows.of_profiles([y], model.dim)
+    return float(ref.pair_distances(model.effective_weights(), rows, at, at)[0])
 
 
 def distance_gradient(model: WeightModel, x: Profile, y: Profile) -> np.ndarray:

@@ -1,4 +1,7 @@
+import gc
+import itertools
 import random
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -20,7 +23,7 @@ from pqgrams.knn import (
 from pqgrams.lmnn import LabeledTree, TrainConfig, train
 from pqgrams.metric import W_INIT, WeightModel
 from pqgrams.ted import tree_edit_distance
-from pqgrams.tree import parse_tree, serialize_tree
+from pqgrams.tree import Tree, parse_tree, serialize_tree
 
 from conftest import random_tree_raw, weight_draws
 
@@ -266,6 +269,20 @@ def ladder(dists, labels, k):
     return first if first in winners else min(winners)
 
 
+def test_vote_follows_the_ladder_on_every_label_pattern():
+    # k + 1 references, so one is left out; distances from {0, 1, 2} tie too
+    rng = random.Random(23)
+    trees = [parse_tree(f"n{i}") for i in range(6)]
+    for k in range(1, 6):
+        refs = trees[: k + 1]
+        for labels in itertools.product(range(3), repeat=k + 1):
+            data = [LabeledTree(t, lab) for t, lab in zip(refs, labels)]
+            for dists in ([0] * (k + 1), *([rng.randrange(3) for _ in refs] for _ in range(3))):
+                by_root = {t.label(t.root): d for t, d in zip(refs, dists)}
+                dist = TreeDistance("fake", lambda a, b: by_root[a.label(a.root)])
+                assert knn_classify(data, parse_tree("q"), dist, k) == ladder(dists, labels, k)
+
+
 def test_edit_distance_knn_follows_the_ladder_at_tied_distances():
     # single-node and small trees at edit distances 0, 1 and 2, with repeats
     data = items(
@@ -326,6 +343,51 @@ def test_nearest_equals_stable_argsort_of_query_distances():
                     want = np.argsort(full, kind="stable")[:k].tolist()
                     assert dist.nearest(ref_trees, q, k).tolist() == want
                     assert knn_classify(refs, q, dist, k) == ladder(full.tolist(), labels, k)
+
+
+def test_gram_nearest_equals_the_base_nearest_for_every_k():
+    rng = random.Random(31)
+    unique = [random_tree(rng.randrange(5, 30), rng, tuple("abcd")) for _ in range(9)]
+    trees = unique + unique[:2]  # exact distance ties
+    vocab = Vocabulary.from_trees(unique, S22)
+    queries = [random_tree(20, rng, tuple("abcdz")), trees[4]]
+    for w in weight_draws(np.random.default_rng(31), vocab.dim):
+        dist = weighted_gram_distance(WeightModel(vocab, w))
+        for refs in (trees, trees[:1], []):
+            n = len(refs)
+            for q, k in itertools.product(queries, sorted({0, max(n - 1, 0), n, n + 1, n + 5})):
+                want = TreeDistance.nearest(dist, refs, q, k)
+                assert dist.nearest(refs, q, k).tolist() == want.tolist()
+
+
+class _WeakTree(Tree):
+    """A tree a weakref can point to."""
+
+    __slots__ = ("__weakref__",)
+
+
+def weak_tree(text):
+    t, weak = parse_tree(text), object.__new__(_WeakTree)
+    for name in Tree.__slots__:
+        object.__setattr__(weak, name, getattr(t, name))
+    return weak
+
+
+def test_gram_distance_clear_cache_lets_go_of_the_trees_it_kept():
+    data = gen_strings(6, seed=4).items
+    vocab = Vocabulary.from_trees([it.tree for it in data], S22)
+    dist = weighted_gram_distance(WeightModel.initial(vocab))
+    prepared, paired, referenced = (weak_tree(t) for t in ("a(b,c)", "a(b(c))", "b(a)"))
+    dist.prepare([prepared])
+    assert dist(paired, data[0].tree) > 0
+    dist.nearest([referenced, data[1].tree], data[2].tree, 1)
+    seen = [weakref.ref(t) for t in (prepared, paired, referenced)]
+    del prepared, paired, referenced
+    gc.collect()
+    assert all(ref() is not None for ref in seen)
+    dist.clear_cache()
+    gc.collect()
+    assert [ref() for ref in seen] == [None, None, None]
 
 
 def test_reference_cache_follows_the_reference_list():
