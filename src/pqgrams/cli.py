@@ -20,8 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from .datasets import gen_strings, load_tsv, save_tsv
-from .grams import GramShape, extract_grams, multiset_distance, profile
+from .grams import GramShape, extract_grams, profile
 from .knn import (
+    TreeDistance,
     benchmark_inference,
     cross_validate,
     edit_distance_baseline,
@@ -30,8 +31,6 @@ from .knn import (
     weighted_gram_distance,
 )
 from .lmnn import CONFIG_KEYS, TrainConfig, TrainedModel, load_model, save_model, train
-from .metric import weighted_distance
-from .ted import tree_edit_distance
 from .tree import parse_tree
 
 
@@ -173,20 +172,24 @@ def _load_model_of_shape(path: str, shape: GramShape) -> TrainedModel:
     return trained
 
 
+def _distance(algo: str, args, train_trees, trained: TrainedModel | None) -> TreeDistance:
+    """The distance ``algo`` names: pq over a vocabulary of ``train_trees`` at
+    ``args``' shape, wpq of ``trained``, or the edit distance."""
+    if algo == "pq":
+        return unweighted_gram_distance(train_trees, GramShape(args.p, args.q))
+    if algo == "wpq":
+        return weighted_gram_distance(trained)
+    return edit_distance_baseline()
+
+
 def _cmd_dist(args) -> int:
     _check_model_flag(args.algo == "wpq", args.model)
     t1 = parse_tree(args.t1)
     t2 = parse_tree(args.t2)
-    if args.algo == "pq":
-        shape = GramShape(args.p, args.q)
-        print(multiset_distance(extract_grams(t1, shape), extract_grams(t2, shape)))
-    elif args.algo == "wpq":
-        trained = _load_model_of_shape(args.model, GramShape(args.p, args.q))
-        vocab = trained.vocab
-        d = weighted_distance(trained.model, profile(t1, vocab), profile(t2, vocab))
-        print(f"{d:.6f}")
-    else:
-        print(f"{tree_edit_distance(t1, t2):.6f}")
+    trained = _load_model_of_shape(args.model, GramShape(args.p, args.q)) if args.model else None
+    # integer-exact at the initial weights, so pq prints the plain gram count
+    d = _distance(args.algo, args, [t1, t2], trained)(t1, t2)
+    print(int(d) if args.algo == "pq" else f"{d:.6f}")
     return 0
 
 
@@ -211,14 +214,12 @@ def _cmd_train(args) -> int:
 def _cmd_knn_eval(args) -> int:
     corpus = load_tsv(args.data)
     shape = GramShape(args.p, args.q)
-    if args.setting == "E1":
-        def builder(train_items):
-            return unweighted_gram_distance([it.tree for it in train_items], shape)
-    else:
-        cfg = _config_from_args(args)
+    algo = {"E1": "pq", "E2": "wpq"}[args.setting]
+    cfg = _config_from_args(args) if algo == "wpq" else None
 
-        def builder(train_items):
-            return weighted_gram_distance(train(train_items, shape, cfg))
+    def builder(train_items):
+        trained = train(train_items, shape, cfg) if cfg else None
+        return _distance(algo, args, [it.tree for it in train_items], trained)
 
     report = cross_validate(
         corpus.items, builder, args.k, folds=args.folds, seed=args.seed
@@ -238,8 +239,8 @@ def _cmd_knn_eval(args) -> int:
 def _cmd_bench(args) -> int:
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
     bad = [a for a in algos if a not in ("pq", "wpq", "ted")]
-    if bad:
-        raise UsageError(f"unknown algo(s): {','.join(bad)}")
+    if bad or not algos:
+        raise UsageError(f"unknown algo(s): {','.join(bad)}" if bad else "--algos names no algorithm")
     _check_model_flag("wpq" in algos, args.model)
     shape = GramShape(args.p, args.q)
     trained = _load_model_of_shape(args.model, shape) if args.model else None
@@ -253,16 +254,8 @@ def _cmd_bench(args) -> int:
         f"k={args.k}, repeats={args.repeats}"
     )
     for algo in algos:
-        if algo == "pq":
-            dist = unweighted_gram_distance(train_trees, shape)
-        elif algo == "wpq":
-            dist = weighted_gram_distance(trained)
-        else:
-            dist = edit_distance_baseline()
-        result = benchmark_inference(
-            train_items, test_trees, dist, args.k, repeats=args.repeats
-        )
-        print(result)
+        dist = _distance(algo, args, train_trees, trained)
+        print(benchmark_inference(train_items, test_trees, dist, args.k, repeats=args.repeats))
     return 0
 
 

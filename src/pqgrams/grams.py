@@ -183,10 +183,7 @@ class Profile:
 
 def profile(t: Tree, vocab: Vocabulary) -> Profile:
     """Count vector of ``t`` over ``vocab``; unseen tuples land in the OOV slot."""
-    return _profile(extract_grams(t, vocab.shape), vocab)
-
-
-def _profile(grams: Counter[LabelTuple], vocab: Vocabulary) -> Profile:
+    grams = extract_grams(t, vocab.shape)
     oov = vocab.oov_id
     ids = np.fromiter(map(vocab._ids.get, grams, repeat(oov)), np.int64, len(grams))
     counts = np.fromiter(grams.values(), np.int64, len(grams))
@@ -250,7 +247,7 @@ def multiset_distance(gx: Counter[LabelTuple], gy: Counter[LabelTuple]) -> int:
 
     Union counts multiplicities additively; intersection takes per-tuple
     minima. Equals ``pq_distance`` on profiles over any vocabulary that
-    covers both trees.
+    covers both trees: a reference the tests check the kernel against.
     """
     inter = sum(min(c, gy.get(tup, 0)) for tup, c in gx.items())
     return sum(gx.values()) + sum(gy.values()) - 2 * inter

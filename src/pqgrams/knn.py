@@ -61,8 +61,8 @@ class TreeDistance:
 
 class GramDistance(TreeDistance):
     """Weighted gram distance of one model, over gram profiles cached per
-    tree object identity, which is safe because trees are immutable; each
-    tree is kept with its profile, so its id is not reused.
+    tree object identity, which is safe because trees are immutable: one
+    entry per tree holds the tree with its profile, so its id is not reused.
 
     ``nearest`` gives the indices of the k nearest references: a cheap
     estimate with a proven error bound picks the few references that can be
@@ -75,21 +75,18 @@ class GramDistance(TreeDistance):
     def __init__(self, name: str, model: WeightModel):
         super().__init__(name, lambda x, y: weighted_distance(model, x, y))
         self.model = model
-        self._cache: dict[int, Profile] = {}
-        self._keep: list[Tree] = []
+        self._cache: dict[int, tuple[Tree, Profile]] = {}
         self._refs: tuple[list[Tree], SlotIndex] | None = None
 
     def clear_cache(self) -> None:
         self._cache.clear()
-        self._keep.clear()
         self._refs = None
 
     def _encode(self, t: Tree) -> Profile:
-        enc = self._cache.get(id(t))
-        if enc is None:
-            enc = self._cache[id(t)] = profile(t, self.model.vocab)
-            self._keep.append(t)
-        return enc
+        entry = self._cache.get(id(t))
+        if entry is None:
+            entry = self._cache[id(t)] = (t, profile(t, self.model.vocab))
+        return entry[1]
 
     def _index(self, refs: Sequence[Tree]) -> SlotIndex:
         # a copy, so later in-place edits of the caller's list are seen; list
@@ -123,8 +120,7 @@ def unweighted_gram_distance(train_trees: Sequence[Tree], shape: GramShape) -> G
     vocab, profiles = encode_trees(train_trees, shape)
     dist = weighted_gram_distance(WeightModel.initial(vocab))
     dist.name = f"pq(p={shape.p},q={shape.q})"
-    dist._cache.update(zip(map(id, train_trees), profiles))
-    dist._keep.extend(train_trees)
+    dist._cache.update((id(t), (t, p)) for t, p in zip(train_trees, profiles))
     return dist
 
 
@@ -162,11 +158,9 @@ def knn_classify(
 def _timed_inference(
     train: Sequence[LabeledTree], queries: Sequence[Tree], dist: TreeDistance, k: int
 ) -> tuple[list[int], float]:
-    """Prepare the training trees, then the queries, then classify each
-    query: the predictions, and the seconds all of that took."""
+    """Classify each query: the predictions, and the seconds that took. A
+    distance that encodes trees does so on first use, inside this timing."""
     t0 = time.perf_counter()
-    dist.prepare([item.tree for item in train])
-    dist.prepare(queries)
     preds = [knn_classify(train, q, dist, k) for q in queries]
     return preds, time.perf_counter() - t0
 

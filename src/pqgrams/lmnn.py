@@ -538,7 +538,11 @@ def _unsavable(tup: tuple[str, ...]) -> bool:
 
 
 def _parse_config_comment(text: str) -> TrainConfig:
-    values = dict(kv.split("=", 1) for kv in text.split())
+    values: dict[str, str] = {}
+    for key, value in (kv.split("=", 1) for kv in text.split()):
+        if key in values or key not in CONFIG_KEYS.values():
+            raise ValueError(f"{'repeated' if key in values else 'unknown'} key {key!r}")
+        values[key] = value
     # each value takes the type of its field's default: int or float
     kinds = {name: type(getattr(TrainConfig, name)) for name in CONFIG_KEYS}
     return TrainConfig(**{name: kinds[name](values[key]) for name, key in CONFIG_KEYS.items()})
@@ -583,11 +587,15 @@ def load_model(path) -> TrainedModel:
         # start with '#', but tuple lines always hold tabs (labels never do)
         if in_header and line.startswith("#") and "\t" not in line:
             if line.startswith("# config "):
+                if config is not None:
+                    raise ModelFormatError(f"{path}:{lineno}: second config comment")
                 try:
                     config = _parse_config_comment(line[len("# config ") :])
                 except (KeyError, ValueError) as e:
                     raise ModelFormatError(f"{path}:{lineno}: bad config comment ({e})")
             elif line.startswith("# loss "):
+                if final_loss is not None:
+                    raise ModelFormatError(f"{path}:{lineno}: second loss comment")
                 try:
                     final_loss = float(line[len("# loss ") :])
                 except ValueError:

@@ -1,5 +1,9 @@
 import argparse
+import contextlib
+import functools
+import io
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,8 +14,11 @@ import pytest
 from pqgrams import cli
 from pqgrams.cli import _config_from_args, build_parser, run
 from pqgrams.datasets import gen_strings, load_tsv, save_tsv
-from pqgrams.grams import GramShape, extract_grams
+from pqgrams.grams import GramShape, extract_grams, multiset_distance
 from pqgrams.lmnn import TrainConfig, load_model, train
+from pqgrams.tree import serialize_tree
+
+from conftest import random_tree_raw
 
 
 @pytest.fixture
@@ -31,6 +38,35 @@ def test_dist_pq_identical(capsys):
     code = run(["dist", "--algo", "pq", "--t1", "a", "--t2", "a", "-p", "2", "-q", "2"])
     assert code == 0
     assert capsys.readouterr().out.strip() == "0"
+
+
+def test_dist_pq_prints_the_multiset_distance(monkeypatch):
+    # one parser for all 1,800 runs: building it is most of a run's time
+    monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser))
+    rng = random.Random(24)
+    pairs = [
+        tuple(random_tree_raw(rng.randint(1, 15), rng) for _ in range(2)) for _ in range(200)
+    ]
+    for p in (1, 2, 3):
+        for q in (1, 2, 3):
+            shape = GramShape(p, q)
+            for t1, t2 in pairs:
+                argv = ["dist", "--algo", "pq", f"--t1={serialize_tree(t1)}",
+                        f"--t2={serialize_tree(t2)}", "-p", str(p), "-q", str(q)]
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    assert run(argv) == 0
+                want = multiset_distance(extract_grams(t1, shape), extract_grams(t2, shape))
+                assert out.getvalue() == f"{want}\n"
+
+
+def test_shape_and_config_are_checked_only_where_used(strings_tsv, capsys):
+    assert run(["dist", "--algo", "ted", "--t1", "a(b)", "--t2", "a", "-p", "0"]) == 0
+    assert capsys.readouterr().out == "1.000000\n"
+    assert run(["dist", "--algo", "pq", "--t1", "a(b)", "--t2", "a", "-p", "0"]) == 2
+    argv = ["knn-eval", "--data", strings_tsv, "-k", "1", "--epochs", "-1"]
+    assert run(argv + ["--setting", "E1"]) == 0
+    assert run(argv + ["--setting", "E2"]) == 2
 
 
 def test_dist_ted(capsys):
@@ -171,6 +207,14 @@ def test_knn_eval_rejects_k_below_1(strings_tsv, capsys):
 
 def test_bench_rejects_unknown_algo(strings_tsv, capsys):
     assert run(["bench", "--data", strings_tsv, "--algos", "pq,magic"]) == 1
+
+
+@pytest.mark.parametrize("algos", [",", ""])
+def test_bench_rejects_algos_that_name_nothing(strings_tsv, capsys, algos):
+    assert run(["bench", "--data", strings_tsv, "--algos", algos]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--algos names no algorithm" in err
 
 
 @pytest.mark.parametrize(

@@ -781,6 +781,26 @@ def test_non_finite_config_comment_rejected_with_line_number(tmp_path):
         load_model(path)
 
 
+CONFIG = "# config k=1 mu1=5.0 mu2=5.0 beta=0.0 eta=0.01 epochs=1 refresh=1 cap=5 seed=0"
+
+
+@pytest.mark.parametrize(
+    "comments, match",
+    [
+        ([CONFIG + " typo=3"], r":2: bad config comment \(unknown key 'typo'\)"),
+        ([CONFIG + " k=7"], r":2: bad config comment \(repeated key 'k'\)"),
+        ([CONFIG, "# loss 1.0", CONFIG], r":4: second config comment"),
+        (["# loss 1.0", CONFIG, "# loss 2.0"], r":4: second loss comment"),
+    ],
+    ids=["unknown-key", "repeated-key", "second-config", "second-loss"],
+)
+def test_ambiguous_comments_rejected_with_line_number(tmp_path, comments, match):
+    path = tmp_path / "m.txt"
+    path.write_text("\n".join(["pqgram-model v1 p=1 q=2 dim=1", *comments, "OOV 0.5"]) + "\n")
+    with pytest.raises(ModelFormatError, match=match):
+        load_model(path)
+
+
 def test_malformed_loss_and_oov_lines_rejected(tmp_path):
     bad_loss = tmp_path / "loss.txt"
     bad_loss.write_text("pqgram-model v1 p=1 q=2 dim=1\n# loss not-a-number\nOOV 0.5\n")
