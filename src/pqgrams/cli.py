@@ -3,10 +3,11 @@
 Subcommands: gen-strings, grams, dist, train, knn-eval, bench, inspect.
 Exit codes: 0 success, 1 usage error, 2 data/parse error.
 
-The strings experiment, plain vs learned weights, then the learned grams:
+The strings experiment, plain vs learned weights vs TED, then the learned grams:
   pqgrams gen-strings --n 100 --seed 42 --out s.tsv
   pqgrams knn-eval --data s.tsv --setting E1 -k 1 --seed 42
   pqgrams knn-eval --data s.tsv --setting E2 -k 1 --seed 42
+  pqgrams knn-eval --data s.tsv --setting TED -k 1 --seed 42
   pqgrams train --data s.tsv -k 1 --seed 42 --out m.txt
   pqgrams inspect --model m.txt --data s.tsv
 """
@@ -110,8 +111,9 @@ def build_parser() -> _Parser:
     p_eval.add_argument(
         "--setting",
         required=True,
-        choices=["E1", "E2"],
-        help="E1: unweighted gram distance; E2: learned weighted distance",
+        choices=["E1", "E2", "TED"],
+        help="E1: unweighted gram distance; E2: learned weighted distance; TED: tree edit "
+        "distance, one TED per training tree and query, so slow on large trees",
     )
     p_eval.add_argument("--folds", type=int, default=5)
     p_eval.add_argument("--csv", help="write per-fold results as CSV")
@@ -214,7 +216,7 @@ def _cmd_train(args) -> int:
 def _cmd_knn_eval(args) -> int:
     corpus = load_tsv(args.data)
     shape = GramShape(args.p, args.q)
-    algo = {"E1": "pq", "E2": "wpq"}[args.setting]
+    algo = {"E1": "pq", "E2": "wpq", "TED": "ted"}[args.setting]
     cfg = _config_from_args(args) if algo == "wpq" else None
 
     def builder(train_items):

@@ -172,7 +172,7 @@ def stratified_folds(
     if folds < 2:
         raise ValueError("folds must be >= 2")
     if len(labels) < folds:
-        raise ValueError("need at least one item per fold")
+        raise ValueError(f"need at least {folds} items for {folds} folds, have {len(labels)}")
     rng = random.Random(seed)
     by_label: dict[int, list[int]] = {}
     for i, lab in enumerate(labels):

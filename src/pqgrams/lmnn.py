@@ -18,9 +18,9 @@ of different classes that lie clear of their point's radius. The kernel in
 point's target pairs, so every decision is the kernel's own; after the
 initial weights there are usually none. The loss holds each pair's nonzero
 |x - y| terms in one column of a zero-padded array: the targets' built
-once per run, the impostors' at each refresh. A pair's loss distance adds
-its terms one after another in ascending slot order, so it can differ from
-the kernel's pairwise row sum in the last bits.
+once per run, the impostors' at each refresh that changes the list. A
+pair's loss distance adds its terms one after another in ascending slot
+order, so it can differ from the kernel's pairwise row sum in the last bits.
 
 The gradient is 2*beta*w + sigmoid(w) * c, where c sums the active
 positives' |x - y| less the active negatives'. Those are integer counts, so
@@ -271,10 +271,10 @@ class _Columns:
 
 
 class _PairTerms:
-    """Loss and gradient over the positives' ``_Columns``, built once, and
-    the negatives', which ``refresh`` replaces. ``loss`` and ``gradient`` take
-    ``d = distances(w)``, positives first, each its column's sum in order. A
-    hinge at its kink is inactive; ``flips`` counts hinges that changed sides."""
+    """Loss and gradient over the positives' ``_Columns`` and the negatives'.
+    ``loss`` and ``gradient`` take ``d = distances(w)``, positives first, each
+    its column's sum in order. A hinge at its kink is inactive; ``flips``
+    counts hinges that changed sides."""
 
     __slots__ = ("n_pos", "pos", "neg", "flips")
 
@@ -283,11 +283,6 @@ class _PairTerms:
         self.pos = _Columns(X, pairs.positives)
         self.neg = _Columns(X, pairs.negatives)
         self.flips = 0
-
-    def refresh(self, X: np.ndarray, negatives: Sequence[tuple[int, int]]) -> None:
-        """Replace the negatives; the positives and their part of ``c`` stay."""
-        self.neg = None  # drop the old columns before the new ones are built
-        self.neg = _Columns(X, negatives)
 
     def distances(self, w: np.ndarray) -> np.ndarray:
         eff = softplus(w)
@@ -453,9 +448,11 @@ def train(
     m2 = np.zeros_like(w)
     for epoch in range(1, cfg.epochs + 1):
         if epoch > 1 and (epoch - 1) % cfg.impostor_refresh_every == 0:
-            model = WeightModel(vocab, w)
-            terms.refresh(X, find_impostors(profiles, labels, model, targets, cfg.k))
-            d = terms.distances(w)
+            found = find_impostors(profiles, labels, WeightModel(vocab, w), targets, cfg.k)
+            if found != negatives:
+                negatives, terms.neg = found, None  # drop the old columns first
+                terms.neg = _Columns(X, negatives)
+                d = terms.distances(w)
             _log_refresh(epoch, terms, w, d, cfg)
         g = terms.gradient(w, d, cfg)
         m1 = ADAM_BETA1 * m1 + (1.0 - ADAM_BETA1) * g
@@ -480,7 +477,7 @@ def train(
 # Weights are written with repr() so they round-trip to the exact float and
 # must be finite. A tuple's first label may itself start with '#', so comment
 # lines are read only between the header and the first tuple line, and only
-# when they hold no tab.
+# when they hold no tab; there any other '#' line is an error.
 # ---------------------------------------------------------------------------
 
 _HEADER_RE = re.compile(r"^pqgram-model (\S+) p=(\d+) q=(\d+) dim=(\d+)$")
@@ -539,13 +536,20 @@ def _unsavable(tup: tuple[str, ...]) -> bool:
 
 def _parse_config_comment(text: str) -> TrainConfig:
     values: dict[str, str] = {}
-    for key, value in (kv.split("=", 1) for kv in text.split()):
+    for item in text.split():
+        key, eq, value = item.partition("=")
+        if not eq:
+            raise ValueError(f"item without '=' {item!r}")
         if key in values or key not in CONFIG_KEYS.values():
             raise ValueError(f"{'repeated' if key in values else 'unknown'} key {key!r}")
         values[key] = value
     # each value takes the type of its field's default: int or float
     kinds = {name: type(getattr(TrainConfig, name)) for name in CONFIG_KEYS}
     return TrainConfig(**{name: kinds[name](values[key]) for name, key in CONFIG_KEYS.items()})
+
+
+# the header comments save_model writes, each read at most once, by kind
+_COMMENTS = {"config": _parse_config_comment, "loss": float}
 
 
 def _parse_weight(path, lineno: int, text: str) -> float:
@@ -576,8 +580,7 @@ def load_model(path) -> TrainedModel:
     shape = GramShape(p, q)
     width = p + q
 
-    config: TrainConfig | None = None
-    final_loss: float | None = None
+    comments: dict = {}
     tuple_lines: dict[tuple[str, ...], int] = {}
     weights: list[float] = []
     oov_weight: float | None = None
@@ -586,20 +589,15 @@ def load_model(path) -> TrainedModel:
         # comments live only in the header block and hold no tab: a label may
         # start with '#', but tuple lines always hold tabs (labels never do)
         if in_header and line.startswith("#") and "\t" not in line:
-            if line.startswith("# config "):
-                if config is not None:
-                    raise ModelFormatError(f"{path}:{lineno}: second config comment")
-                try:
-                    config = _parse_config_comment(line[len("# config ") :])
-                except (KeyError, ValueError) as e:
-                    raise ModelFormatError(f"{path}:{lineno}: bad config comment ({e})")
-            elif line.startswith("# loss "):
-                if final_loss is not None:
-                    raise ModelFormatError(f"{path}:{lineno}: second loss comment")
-                try:
-                    final_loss = float(line[len("# loss ") :])
-                except ValueError:
-                    raise ModelFormatError(f"{path}:{lineno}: bad loss comment {line!r}")
+            kind = line[2:].split(" ", 1)[0]
+            if kind not in _COMMENTS or not line.startswith(f"# {kind} "):
+                raise ModelFormatError(f"{path}:{lineno}: unknown comment {line!r}")
+            if kind in comments:
+                raise ModelFormatError(f"{path}:{lineno}: second {kind} comment")
+            try:
+                comments[kind] = _COMMENTS[kind](line[len(kind) + 3 :])
+            except (KeyError, ValueError) as e:
+                raise ModelFormatError(f"{path}:{lineno}: bad {kind} comment ({e})")
             continue
         in_header = False
         if oov_weight is not None:
@@ -625,8 +623,8 @@ def load_model(path) -> TrainedModel:
         )
     vocab = Vocabulary(shape, tuple_lines)
     model = WeightModel(vocab, np.array(weights + [oov_weight]))
-    trace = [final_loss] if final_loss is not None else []
-    return TrainedModel(model, config, trace)
+    trace = [comments["loss"]] if "loss" in comments else []
+    return TrainedModel(model, comments.get("config"), trace)
 
 
 def encode_dataset(

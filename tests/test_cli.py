@@ -15,10 +15,13 @@ from pqgrams import cli
 from pqgrams.cli import _config_from_args, build_parser, run
 from pqgrams.datasets import gen_strings, load_tsv, save_tsv
 from pqgrams.grams import GramShape, extract_grams, multiset_distance
+from pqgrams.knn import stratified_folds
 from pqgrams.lmnn import TrainConfig, load_model, train
+from pqgrams.ted import tree_edit_distance
 from pqgrams.tree import serialize_tree
 
 from conftest import random_tree_raw
+from test_knn import ladder
 
 
 @pytest.fixture
@@ -205,6 +208,11 @@ def test_knn_eval_rejects_k_below_1(strings_tsv, capsys):
     assert run(["knn-eval", "--data", strings_tsv, "--setting", "E1", "-k", "-1"]) == 2
 
 
+def test_knn_eval_with_more_folds_than_trees_exits_2(strings_tsv, capsys):
+    assert run(["knn-eval", "--data", strings_tsv, "--setting", "E1", "--folds", "50"]) == 2
+    assert "need at least 50 items for 50 folds, have 20" in capsys.readouterr().err
+
+
 def test_bench_rejects_unknown_algo(strings_tsv, capsys):
     assert run(["bench", "--data", strings_tsv, "--algos", "pq,magic"]) == 1
 
@@ -334,3 +342,34 @@ def test_docstring_names_every_subcommand():
     parser = build_parser()
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     assert sorted(named) == sorted(sub.choices)
+
+
+def test_knn_eval_ted_errors_equal_a_brute_force_edit_distance_vote(tmp_path, capsys):
+    data = tmp_path / "tiny.tsv"
+    csv_path = tmp_path / "ted.csv"
+    assert run(["gen-strings", "--n", "6", "--seed", "5", "--out", str(data)]) == 0
+    assert run(["knn-eval", "--data", str(data), "--setting", "TED", "-k", "3",
+                "--folds", "3", "--seed", "7", "--csv", str(csv_path)]) == 0
+    items = load_tsv(data).items
+    labels = [it.label for it in items]
+    want = []
+    for test in stratified_folds(labels, 3, seed=7):
+        train_idx = [i for i in range(len(items)) if i not in test]
+        wrong = 0
+        for i in test:
+            dists = [tree_edit_distance(items[j].tree, items[i].tree) for j in train_idx]
+            wrong += ladder(dists, [labels[j] for j in train_idx], 3) != labels[i]
+        want.append(f"{wrong / len(test):.6f}")
+    rows = [line.split(",") for line in csv_path.read_text().splitlines()[1:]]
+    assert [row[1] for row in rows] == ["TED"] * 3
+    assert [row[3] for row in rows] == want
+
+
+def test_docstring_examples_run(tmp_path, monkeypatch, capsys):
+    examples = [s.split()[1:] for s in cli.__doc__.splitlines() if s.startswith("  pqgrams ")]
+    assert {argv[argv.index("--setting") + 1] for argv in examples if "--setting" in argv} == {
+        "E1", "E2", "TED"
+    }
+    monkeypatch.chdir(tmp_path)
+    for argv in examples:
+        assert run(argv) == 0, argv

@@ -42,6 +42,8 @@ def test_gen_strings_counts_and_sizes():
     assert len(corpus) == 200
     assert corpus.class_counts() == {"periodic": 100, "random": 100}
     assert all(tree_size(item.tree) == 9 for item in corpus.items)
+    with pytest.raises(ValueError, match="n_per_class must be >= 1"):
+        gen_strings(0)
 
 
 def test_gen_strings_class1_pattern_and_no_dad():
@@ -140,6 +142,8 @@ def test_random_tree_sizes_and_determinism():
     a = random_tree(10, random.Random(1))
     b = random_tree(10, random.Random(1))
     assert a == b
+    with pytest.raises(ValueError, match="n_nodes must be >= 1"):
+        random_tree(0, rng)
 
 
 def test_random_tree_attach_window_goes_deeper():

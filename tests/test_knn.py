@@ -121,6 +121,11 @@ def test_stratified_folds_validation():
         stratified_folds([0, 1], folds=3, seed=0)
 
 
+def test_stratified_folds_names_both_counts_when_folds_outnumber_items():
+    with pytest.raises(ValueError, match="^need at least 50 items for 50 folds, have 20$"):
+        stratified_folds([0, 1] * 10, folds=50, seed=0)
+
+
 def test_cross_validate_perfect_separation():
     data = items(
         ("a(b,c)", 0), ("a(b,d)", 0), ("a(c,c)", 0), ("a(c,d)", 0),

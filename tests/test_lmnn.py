@@ -7,7 +7,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from pqgrams import metric
+from pqgrams import lmnn, metric
 from pqgrams.cli import run
 from pqgrams.datasets import gen_strings
 from pqgrams.grams import GramShape, Vocabulary, build_vocabulary, count_matrix, profile
@@ -71,6 +71,12 @@ def test_config_validation():
         TrainConfig(eta=0)
     with pytest.raises(ValueError):
         TrainConfig(epochs=-1)
+    with pytest.raises(ValueError, match="^beta must be non-negative"):
+        TrainConfig(beta=-1e-4)
+    with pytest.raises(ValueError, match="^impostor_refresh_every must be >= 1"):
+        TrainConfig(impostor_refresh_every=0)
+    with pytest.raises(ValueError, match="^subsample_cap must be >= 1"):
+        TrainConfig(subsample_cap=0)
     TrainConfig(epochs=0)  # evaluate-only runs are allowed
 
 
@@ -538,6 +544,18 @@ def test_train_with_a_refresh_every_epoch_is_byte_identical_on_repeat():
     assert a.final_loss < a.initial_loss
 
 
+def test_find_impostors_rejects_targets_that_are_not_k_per_point():
+    _, vocab, profiles, labels = encoded(
+        [("a(b)", 0), ("a(c)", 0), ("x(y)", 1), ("x(z)", 1)]
+    )
+    model = WeightModel.initial(vocab)
+    targets = build_targets(profiles, labels, model, k=1)
+    with pytest.raises(ValueError, match="^point 1 has 0 targets, expected 1$"):
+        find_impostors(profiles, labels, model, [t for t in targets if t[0] != 1], k=1)
+    with pytest.raises(ValueError, match="^point 0 has 1 targets, expected 2$"):
+        find_impostors(profiles, labels, model, targets, k=2)
+
+
 # --- subsampling ------------------------------------------------------------
 
 
@@ -564,6 +582,14 @@ def test_subsample_keeps_small_classes_trainable():
     kept_labels = [labels[i] for i in keep]
     assert kept_labels.count(1) >= 4  # k+1
     assert len(keep) <= 50
+
+
+def test_subsample_rejects_a_cap_below_k_plus_1_per_class():
+    labels = [0] * 10 + [1] * 10 + [2] * 10
+    msg = "^subsample cap 8 cannot keep 3 members for each of 3 classes$"
+    with pytest.raises(ValueError, match=msg):
+        stratified_subsample(labels, cap=8, k=2, rng=random.Random(0))
+    assert len(stratified_subsample(labels, cap=9, k=2, rng=random.Random(0))) == 9
 
 
 # --- training ---------------------------------------------------------------
@@ -642,6 +668,66 @@ def test_refresh_lines_count_the_hinges_that_changed_sides(caplog):
     assert sum(int(f[5]) for f in fields) > 0  # the active set moves on strings
     # the logged gradients change no bit of training
     assert logged.model.w.tobytes() == train(data, GramShape(2, 2), cfg).model.w.tobytes()
+
+
+def train_rebuilding_every_refresh(data, shape, cfg):
+    """The epoch loop that builds a fresh negatives' ``_Columns`` at every
+    impostor refresh, whether or not the list changed: the weights and loss
+    trace that ``train`` must reproduce bit for bit."""
+    rng = random.Random(cfg.seed)
+    keep = stratified_subsample([it.label for it in data], cfg.subsample_cap, cfg.k, rng)
+    vocab, profiles, labels = encode_dataset([data[i] for i in keep], shape)
+    X = count_matrix(profiles, vocab)
+    model = WeightModel.initial(vocab)
+    targets = build_targets(profiles, labels, model, cfg.k)
+    terms = _PairTerms(X, PairSet(targets, find_impostors(profiles, labels, model, targets, cfg.k)))
+    w = model.w.copy()
+    d = terms.distances(w)
+    trace = [terms.loss(w, d, cfg)]
+    m1 = np.zeros_like(w)
+    m2 = np.zeros_like(w)
+    for epoch in range(1, cfg.epochs + 1):
+        if epoch > 1 and (epoch - 1) % cfg.impostor_refresh_every == 0:
+            negatives = find_impostors(profiles, labels, WeightModel(vocab, w), targets, cfg.k)
+            terms.neg = lmnn._Columns(X, negatives)
+            d = terms.distances(w)
+        g = terms.gradient(w, d, cfg)
+        m1 = lmnn.ADAM_BETA1 * m1 + (1.0 - lmnn.ADAM_BETA1) * g
+        m2 = lmnn.ADAM_BETA2 * m2 + (1.0 - lmnn.ADAM_BETA2) * g * g
+        m1_hat = m1 / (1.0 - lmnn.ADAM_BETA1**epoch)
+        m2_hat = m2 / (1.0 - lmnn.ADAM_BETA2**epoch)
+        w = w - cfg.eta * m1_hat / (np.sqrt(m2_hat) + lmnn.ADAM_EPS)
+        d = terms.distances(w)
+        trace.append(terms.loss(w, d, cfg))
+    return w, trace
+
+
+def test_an_unchanged_impostor_list_keeps_its_columns_bit_for_bit(monkeypatch):
+    data = strings_subset(12, seed=0)
+    # margins inside the training distances, so negative hinges are active
+    cfg = TrainConfig(k=2, mu1=2.0, mu2=8.0, eta=0.05, epochs=60, impostor_refresh_every=3)
+    want_w, want_trace = train_rebuilding_every_refresh(data, GramShape(2, 2), cfg)
+
+    found, built = [], []
+    def recorded(*args, real=lmnn.find_impostors):
+        found.append(real(*args))
+        return found[-1]
+    class Counted(lmnn._Columns):
+        def __init__(self, X, pairs):
+            super().__init__(X, pairs)
+            built.append(self)
+    monkeypatch.setattr(lmnn, "find_impostors", recorded)
+    monkeypatch.setattr(lmnn, "_Columns", Counted)
+    trained = train(data, GramShape(2, 2), cfg)
+
+    assert len(found) == 1 + (cfg.epochs - 1) // cfg.impostor_refresh_every
+    changed = sum(a != b for a, b in zip(found, found[1:]))
+    assert 0 < changed < len(found) - 1  # the list both changed and repeated
+    # the positives' columns, the first negatives', then one per changed list
+    assert len(built) == 2 + changed
+    assert any(cols.active.any() for cols in built[1:])
+    assert trained.model.w.tobytes() == want_w.tobytes()
+    assert np.array(trained.loss_trace).tobytes() == np.array(want_trace).tobytes()
 
 
 def test_train_rejects_degenerate_data():
@@ -728,6 +814,16 @@ def test_malformed_model_files_rejected(tmp_path):
     with pytest.raises(ModelFormatError, match="dim"):
         load_model(wrong_dim)
 
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    with pytest.raises(ModelFormatError, match=r"empty\.txt: empty model file"):
+        load_model(empty)
+
+    after_oov = tmp_path / "after.txt"
+    after_oov.write_text("pqgram-model v1 p=1 q=2 dim=2\na\t*\t*\t0.5\nOOV 0.5\nOOV 0.5\n")
+    with pytest.raises(ModelFormatError, match=r"after\.txt:4: content after the OOV line"):
+        load_model(after_oov)
+
 
 def test_model_with_hash_labels_round_trips(tmp_path):
     # '#' starts a legal label, so tuple lines may start with '#' too
@@ -791,14 +887,30 @@ CONFIG = "# config k=1 mu1=5.0 mu2=5.0 beta=0.0 eta=0.01 epochs=1 refresh=1 cap=
         ([CONFIG + " k=7"], r":2: bad config comment \(repeated key 'k'\)"),
         ([CONFIG, "# loss 1.0", CONFIG], r":4: second config comment"),
         (["# loss 1.0", CONFIG, "# loss 2.0"], r":4: second loss comment"),
+        ([CONFIG.replace("seed=0", "seed0")], r":2: bad config comment \(item without '=' 'seed0'\)"),
+        (["# confg k=1"], r":2: unknown comment '# confg k=1'"),
+        (["# loss 1.0", "#loss 2.0"], r":3: unknown comment '#loss 2.0'"),
+        (["# config"], r":2: unknown comment '# config'"),
     ],
-    ids=["unknown-key", "repeated-key", "second-config", "second-loss"],
+    ids=[
+        "unknown-key", "repeated-key", "second-config", "second-loss", "item-without-equals",
+        "misspelt-kind", "no-space-after-hash", "bare-config",
+    ],
 )
 def test_ambiguous_comments_rejected_with_line_number(tmp_path, comments, match):
     path = tmp_path / "m.txt"
     path.write_text("\n".join(["pqgram-model v1 p=1 q=2 dim=1", *comments, "OOV 0.5"]) + "\n")
     with pytest.raises(ModelFormatError, match=match):
         load_model(path)
+
+
+def test_unknown_comment_exits_2_from_the_cli(tmp_path, capsys):
+    path = tmp_path / "m.txt"
+    path.write_text("pqgram-model v1 p=1 q=2 dim=1\n# confg k=1\nOOV 0.5\n")
+    args = ["dist", "--algo", "wpq", "--model", str(path), "--t1", "a", "--t2", "b",
+            "-p", "1", "-q", "2"]
+    assert run(args) == 2
+    assert "m.txt:2: unknown comment '# confg k=1'" in capsys.readouterr().err
 
 
 def test_malformed_loss_and_oov_lines_rejected(tmp_path):

@@ -102,6 +102,24 @@ def test_construction_rejects_bad_structure():
     # root as a child
     with pytest.raises(ValueError, match="root"):
         Tree([Node("a", (0,))])
+    with pytest.raises(ValueError, match="at least one node"):
+        Tree([])
+    with pytest.raises(ValueError, match="root id 2 out of range"):
+        Tree([Node("a", (1,)), Node("b")], root=2)
+    with pytest.raises(ValueError, match="root id -1 out of range"):
+        Tree([Node("a")], root=-1)
+    with pytest.raises(ValueError, match="child id 2 out of range"):
+        Tree([Node("a", (1, 2)), Node("b")])
+    with pytest.raises(ValueError, match="child id -1 out of range"):
+        Tree([Node("a", (-1,)), Node("b")])
+
+
+def test_tree_attributes_cannot_be_assigned():
+    t = parse_tree("a(b)")
+    for name in ("labels", "sizes", "root", "other"):
+        with pytest.raises(AttributeError, match="Tree is immutable"):
+            setattr(t, name, None)
+    assert serialize_tree(t) == "a(b)"
 
 
 def test_structural_equality_ignores_node_numbering():
