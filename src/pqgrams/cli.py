@@ -32,6 +32,7 @@ from .knn import (
     weighted_gram_distance,
 )
 from .lmnn import CONFIG_KEYS, TrainConfig, TrainedModel, load_model, save_model, train
+from .lmnn import ClassTooSmall
 from .tree import parse_tree
 
 
@@ -184,6 +185,14 @@ def _distance(algo: str, args, train_trees, trained: TrainedModel | None) -> Tre
     return edit_distance_baseline()
 
 
+def _train(items, shape: GramShape, cfg: TrainConfig, names: list[str]) -> TrainedModel:
+    """``train``, naming a class too small for k as the TSV does."""
+    try:
+        return train(items, shape, cfg)
+    except ClassTooSmall as e:
+        raise ClassTooSmall(repr(names[e.args[0]]), *e.args[1:]) from None
+
+
 def _cmd_dist(args) -> int:
     _check_model_flag(args.algo == "wpq", args.model)
     t1 = parse_tree(args.t1)
@@ -199,7 +208,7 @@ def _cmd_train(args) -> int:
     corpus = load_tsv(args.data)
     shape = GramShape(args.p, args.q)
     cfg = _config_from_args(args)
-    trained = train(corpus.items, shape, cfg)
+    trained = _train(corpus.items, shape, cfg, corpus.label_names)
     save_model(trained, args.out)
     print(
         f"trained on {len(corpus)} trees ({len(corpus.label_names)} classes), "
@@ -220,7 +229,7 @@ def _cmd_knn_eval(args) -> int:
     cfg = _config_from_args(args) if algo == "wpq" else None
 
     def builder(train_items):
-        trained = train(train_items, shape, cfg) if cfg else None
+        trained = _train(train_items, shape, cfg, corpus.label_names) if cfg else None
         return _distance(algo, args, [it.tree for it in train_items], trained)
 
     report = cross_validate(

@@ -27,6 +27,17 @@ positives' |x - y| less the active negatives'. Those are integer counts, so
 c is exact in float64 in any order and the gradient is rounded once. c is
 kept across epochs and moved only by the hinges that change sides.
 
+An epoch sums the columns only when a hinge could change sides. A column
+with integer sum l1, summed to d at effective weights eff0, moves by at most
+l1 * max|eff - eff0| exactly, and ``rounding_slack`` of its depth at
+d + |d - mu| bounds the rounding of its sums at eff0 and eff together. While
+max|eff - eff0| < (|d - mu| - slack) / l1 for every column, no sum reaches
+its margin (one on it has no room), so the masks, c and the weights are those
+of summing every epoch, bit for bit. ``train`` sums again once that fails,
+at epoch 0, before each impostor refresh and at the last epoch; a loss trace
+entry between sums is beta w.w + eff @ (c_pos - c_neg) - n_pos mu1 + n_neg mu2
+over the active hinge counts n: the summed loss but for the last bits.
+
 Each refresh logs one DEBUG line to the ``pqgrams`` logger: the epoch, the
 impostor count, the active positive and negative hinges, the loss, the
 hinges that changed sides since the previous refresh and the gradient norm.
@@ -48,6 +59,8 @@ from .grams import GramShape, Profile, Vocabulary, count_matrix, encode_trees
 from .metric import (
     CountRows,
     WeightModel,
+    _softplus_sigmoid,
+    rounding_slack,
     sigmoid,
     softplus,
     symmetric_distances,
@@ -120,6 +133,13 @@ CONFIG_KEYS = {f.name: f.name for f in fields(TrainConfig)}
 CONFIG_KEYS.update(impostor_refresh_every="refresh", subsample_cap="cap")
 
 
+class ClassTooSmall(ValueError):
+    """``build_targets``' error; ``args``: a class's label or name, its size, k + 1."""
+
+    def __str__(self) -> str:
+        return "class {} has {} members, needs at least {}".format(*self.args)
+
+
 @dataclass
 class PairSet:
     """Index pairs into one dataset: positives share a label, negatives differ."""
@@ -139,17 +159,15 @@ def build_targets(
     Each class's distances come from one ``symmetric_distances`` matrix
     over its own rows; the kernel's distance depends on its two rows only,
     so they are the bits of any other call. Pairs are listed by i, nearest
-    first; distance ties break toward the lower index. Raises if any class
-    has fewer than k+1 members.
+    first; distance ties break toward the lower index. Raises
+    ``ClassTooSmall`` if any class has fewer than k+1 members.
     """
     by_label: dict[int, list[int]] = {}
     for i, lab in enumerate(labels):
         by_label.setdefault(lab, []).append(i)
     for lab, members in by_label.items():
         if len(members) < k + 1:
-            raise ValueError(
-                f"class {lab} has {len(members)} members, needs at least {k + 1}"
-            )
+            raise ClassTooSmall(lab, len(members), k + 1)
     nearest: list[list[int]] = [[] for _ in labels]
     for members in by_label.values():
         D = symmetric_distances(model, count_matrix([profiles[j] for j in members], model.vocab))
@@ -223,10 +241,10 @@ _PAIR_BLOCK = 32
 
 class _Columns:
     """Each pair's nonzero |x - y| terms down one column of zero-padded
-    ``(max terms) x pairs`` arrays, slots ascending, and ``c``: per slot, the
-    exact integer sum of the active columns, kept from one mask to the next."""
+    ``(max terms) x pairs`` arrays, slots ascending; their sums ``l1``; and ``c``,
+    per slot the exact integer sum of the active columns, kept across masks."""
 
-    __slots__ = ("slots", "vals", "active", "c")
+    __slots__ = ("slots", "vals", "l1", "active", "c")
 
     def __init__(self, X: np.ndarray, pairs: Sequence[tuple[int, int]]):
         ij = np.array(pairs, dtype=np.int64).reshape(-1, 2)
@@ -244,6 +262,8 @@ class _Columns:
         self.vals = np.zeros(self.slots.shape)
         self.slots[depth, pair] = slot
         self.vals[depth, pair] = np.abs(X[ij[pair, 0], slot] - X[ij[pair, 1], slot])
+        # a column without terms never moves: 1 keeps its room finite
+        self.l1 = np.maximum(self.vals.sum(axis=0), 1.0)
         self.active: np.ndarray | None = None  # no mask yet: c is built from nothing
         self.c = np.zeros(dim)
 
@@ -274,9 +294,12 @@ class _PairTerms:
     """Loss and gradient over the positives' ``_Columns`` and the negatives'.
     ``loss`` and ``gradient`` take ``d = distances(w)``, positives first, each
     its column's sum in order. A hinge at its kink is inactive; ``flips``
-    counts hinges that changed sides."""
+    counts hinges that changed sides. ``resum`` sums the columns at ``eff``
+    and keeps ``eff`` and the ``room`` that no hinge can cross (module
+    docstring); ``mark`` sets the masks and ``c`` from sums, which the
+    ``_of_c`` forms take as they are."""
 
-    __slots__ = ("n_pos", "pos", "neg", "flips")
+    __slots__ = ("n_pos", "pos", "neg", "flips", "eff", "room")
 
     def __init__(self, X: np.ndarray, pairs: PairSet):
         self.n_pos = len(pairs.positives)
@@ -288,15 +311,38 @@ class _PairTerms:
         eff = softplus(w)
         return np.concatenate([self.pos.distances(eff), self.neg.distances(eff)])
 
+    def resum(self, eff: np.ndarray, cfg: TrainConfig) -> np.ndarray:
+        d = np.concatenate([self.pos.distances(eff), self.neg.distances(eff)])
+        # one slack for all, at the greatest depth and d + |d - mu| <= 2 d + mu
+        n, top = max(len(self.pos.slots), len(self.neg.slots)), float(d.max(initial=0.0))
+        slack = rounding_slack(n, 2.0 * top + max(cfg.mu1, cfg.mu2))
+        pos = (np.abs(d[: self.n_pos] - cfg.mu1) / self.pos.l1).min(initial=math.inf)
+        neg = (np.abs(d[self.n_pos :] - cfg.mu2) / self.neg.l1).min(initial=math.inf)
+        self.eff, self.room = eff, float(min(pos, neg)) - slack
+        return d
+
+    def mark(self, d: np.ndarray, cfg: TrainConfig) -> None:
+        self.flips += self.pos.update(d[: self.n_pos] > cfg.mu1)
+        self.flips += self.neg.update(d[self.n_pos :] < cfg.mu2)
+
     def loss(self, w: np.ndarray, d: np.ndarray, cfg: TrainConfig) -> float:
         pos = np.maximum(d[: self.n_pos] - cfg.mu1, 0.0).sum()
         neg = np.maximum(cfg.mu2 - d[self.n_pos :], 0.0).sum()
         return float(cfg.beta * (w @ w) + pos + neg)
 
+    def loss_of_c(self, w: np.ndarray, eff: np.ndarray, cfg: TrainConfig) -> float:
+        """The loss with each active column's sum taken as ``eff @ c``."""
+        n_pos, n_neg = np.count_nonzero(self.pos.active), np.count_nonzero(self.neg.active)
+        hinges = eff @ (self.pos.c - self.neg.c) - n_pos * cfg.mu1 + n_neg * cfg.mu2
+        return float(cfg.beta * (w @ w) + hinges)
+
     def gradient(self, w: np.ndarray, d: np.ndarray, cfg: TrainConfig) -> np.ndarray:
-        self.flips += self.pos.update(d[: self.n_pos] > cfg.mu1)
-        self.flips += self.neg.update(d[self.n_pos :] < cfg.mu2)
-        return 2.0 * cfg.beta * w + sigmoid(w) * (self.pos.c - self.neg.c)
+        self.mark(d, cfg)
+        return self.gradient_of_c(w, sigmoid(w), cfg)
+
+    def gradient_of_c(self, w: np.ndarray, sig: np.ndarray, cfg: TrainConfig) -> np.ndarray:
+        """``sig`` is ``sigmoid(w)``."""
+        return 2.0 * cfg.beta * w + sig * (self.pos.c - self.neg.c)
 
 
 def loss(
@@ -439,9 +485,10 @@ def train(
     terms = _PairTerms(X, PairSet(targets, negatives))
 
     w = model.w.copy()
-    # the distances at the current w serve both the loss just recorded and
-    # the next epoch's gradient
-    d = terms.distances(w)
+    eff, sig = _softplus_sigmoid(w)
+    # the distances last summed serve the loss then recorded and, at the next
+    # epoch's start, the hinge masks of every epoch until the next sum
+    d = terms.resum(eff, cfg)
     trace = [terms.loss(w, d, cfg)]
     _log_refresh(0, terms, w, d, cfg)
     m1 = np.zeros_like(w)
@@ -452,16 +499,24 @@ def train(
             if found != negatives:
                 negatives, terms.neg = found, None  # drop the old columns first
                 terms.neg = _Columns(X, negatives)
-                d = terms.distances(w)
+                d = terms.resum(eff, cfg)
             _log_refresh(epoch, terms, w, d, cfg)
-        g = terms.gradient(w, d, cfg)
+        if d is not None:  # after the refresh: a replaced list's sums set no mask
+            terms.mark(d, cfg)
+            d = None
+        g = terms.gradient_of_c(w, sig, cfg)
         m1 = ADAM_BETA1 * m1 + (1.0 - ADAM_BETA1) * g
         m2 = ADAM_BETA2 * m2 + (1.0 - ADAM_BETA2) * g * g
         m1_hat = m1 / (1.0 - ADAM_BETA1**epoch)
         m2_hat = m2 / (1.0 - ADAM_BETA2**epoch)
         w = w - cfg.eta * m1_hat / (np.sqrt(m2_hat) + ADAM_EPS)
-        d = terms.distances(w)
-        trace.append(terms.loss(w, d, cfg))
+        eff, sig = _softplus_sigmoid(w)
+        drift = np.abs(eff - terms.eff).max()
+        if epoch < cfg.epochs and epoch % cfg.impostor_refresh_every and drift < terms.room:
+            trace.append(terms.loss_of_c(w, eff, cfg))
+        else:
+            d = terms.resum(eff, cfg)
+            trace.append(terms.loss(w, d, cfg))
     return TrainedModel(WeightModel(vocab, w), cfg, trace)
 
 
@@ -543,9 +598,15 @@ def _parse_config_comment(text: str) -> TrainConfig:
         if key in values or key not in CONFIG_KEYS.values():
             raise ValueError(f"{'repeated' if key in values else 'unknown'} key {key!r}")
         values[key] = value
-    # each value takes the type of its field's default: int or float
-    kinds = {name: type(getattr(TrainConfig, name)) for name in CONFIG_KEYS}
-    return TrainConfig(**{name: kinds[name](values[key]) for name, key in CONFIG_KEYS.items()})
+    kwargs = {}
+    for name, key in CONFIG_KEYS.items():
+        if key not in values:
+            raise ValueError(f"missing key {key!r}")
+        try:  # each value takes the type of its field's default: int or float
+            kwargs[name] = type(getattr(TrainConfig, name))(values[key])
+        except ValueError:
+            raise ValueError(f"bad value {values[key]!r} for key {key!r}") from None
+    return TrainConfig(**kwargs)
 
 
 # the header comments save_model writes, each read at most once, by kind
@@ -596,7 +657,7 @@ def load_model(path) -> TrainedModel:
                 raise ModelFormatError(f"{path}:{lineno}: second {kind} comment")
             try:
                 comments[kind] = _COMMENTS[kind](line[len(kind) + 3 :])
-            except (KeyError, ValueError) as e:
+            except ValueError as e:
                 raise ModelFormatError(f"{path}:{lineno}: bad {kind} comment ({e})")
             continue
         in_header = False

@@ -16,9 +16,9 @@ distances as ``|x| + |y| - 2 sum eff * min(x, y)``, within
 reference, picks which references the kernel must score for the k nearest,
 and ``threshold_estimates``, every pair of a training set at once, decides
 which impostor pairs the kernel must score. Neither ever supplies a
-distance. Only the loss's ``_PairTerms.distances`` sums in another order
-(last bits can differ); the loss gradient sums integer counts, exactly, in
-no set order.
+distance. The training loss in ``lmnn`` sums in other orders (last bits
+can differ): pair by pair in slot order, or as ``eff @ c`` between those
+sums; the loss gradient sums integer counts, exactly, in no set order.
 """
 
 from __future__ import annotations
@@ -35,20 +35,23 @@ from .grams import Profile, Vocabulary, count_matrix, sym_diff
 W_INIT = math.log(math.e - 1.0)
 
 
+def _softplus_sigmoid(x):
+    """softplus(x) and sigmoid(x), overflow-safe, from one e^-|x|."""
+    arr = np.asarray(x, dtype=np.float64)
+    ex = np.exp(-np.abs(arr))
+    # e^-|x| is e^-x for x >= 0 and e^x below: 1 / (1 + e^-x) and e^x / (1 + e^x)
+    out = np.maximum(arr, 0.0) + np.log1p(ex), np.where(arr >= 0, 1.0, ex) / (1.0 + ex)
+    return tuple(map(float, out)) if arr.ndim == 0 else out
+
+
 def softplus(x):
     """ln(1 + e^x), overflow-safe for large |x|. Works on scalars and arrays."""
-    arr = np.asarray(x, dtype=np.float64)
-    out = np.maximum(arr, 0.0) + np.log1p(np.exp(-np.abs(arr)))
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+    return _softplus_sigmoid(x)[0]
 
 
 def sigmoid(x):
     """e^x / (1 + e^x), overflow-safe. Works on scalars and arrays."""
-    arr = np.asarray(x, dtype=np.float64)
-    # e^-|x| is e^-x for x >= 0 and e^x below: 1 / (1 + e^-x) and e^x / (1 + e^x)
-    ex = np.exp(-np.abs(arr))
-    out = np.where(arr >= 0, 1.0, ex) / (1.0 + ex)
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+    return _softplus_sigmoid(x)[1]
 
 
 @dataclass(frozen=True, eq=False)

@@ -213,6 +213,18 @@ def test_knn_eval_with_more_folds_than_trees_exits_2(strings_tsv, capsys):
     assert "need at least 50 items for 50 folds, have 20" in capsys.readouterr().err
 
 
+def test_a_class_too_small_for_k_is_named_as_the_tsv_names_it(tmp_path, capsys):
+    data = str(tmp_path / "s.tsv")
+    assert run(["gen-strings", "--n", "5", "--out", data]) == 0
+    argv = ["knn-eval", "--data", data, "--setting", "E2", "-k", "5", "--folds", "2"]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == (
+        "pqgrams: error: class 'periodic' has 2 members, needs at least 6\n"
+    )
+    assert run(["train", "--data", data, "-k", "5", "--out", str(tmp_path / "m.txt")]) == 2
+    assert "class 'periodic' has 5 members, needs at least 6" in capsys.readouterr().err
+
+
 def test_bench_rejects_unknown_algo(strings_tsv, capsys):
     assert run(["bench", "--data", strings_tsv, "--algos", "pq,magic"]) == 1
 

@@ -1,3 +1,4 @@
+import collections
 import logging
 import math
 import random
@@ -33,6 +34,7 @@ from pqgrams.metric import (
     WeightModel,
     distance_gradient,
     pairwise_distances,
+    rounding_slack,
     sigmoid,
     softplus,
     threshold_estimates,
@@ -727,7 +729,111 @@ def test_an_unchanged_impostor_list_keeps_its_columns_bit_for_bit(monkeypatch):
     assert len(built) == 2 + changed
     assert any(cols.active.any() for cols in built[1:])
     assert trained.model.w.tobytes() == want_w.tobytes()
-    assert np.array(trained.loss_trace).tobytes() == np.array(want_trace).tobytes()
+    assert_trace_within_rounding(trained, want_trace, cfg, len(data))
+
+
+def assert_trace_within_rounding(trained, want, cfg, m, summed=None):
+    """``trained``'s loss trace against the oracle's ``want``, for a training
+    set of ``m`` trees.
+
+    Entries that summed the columns are ``want``'s bits: epoch 0, each epoch
+    before an impostor refresh, the last epoch, and any more that ``summed``
+    marks. Every other entry takes each active column's sum as ``eff @ c``.
+    It then differs from ``want`` only by the rounding of sums over at most
+    ``2 dim + pairs`` terms (the dot product, a column, the pairs), whose
+    magnitudes add up to at most ``beta w.w + sum d + pairs * mu``, which is
+    at most ``2 (loss + pairs * mu)``. ``rounding_slack`` of that is over 8
+    times the bound. A hinge counted on the wrong side misses by its distance
+    to its margin."""
+    got, want = np.array(trained.loss_trace), np.array(want)
+    assert len(got) == len(want) == cfg.epochs + 1
+    epochs = np.arange(cfg.epochs + 1)
+    exact = (epochs % cfg.impostor_refresh_every == 0) | (epochs == cfg.epochs)
+    if summed is not None:
+        exact |= summed
+    assert got[exact].tobytes() == want[exact].tobytes()
+    pairs = m * cfg.k + m * m  # targets and every possible impostor
+    total = 2 * (np.abs(want) + pairs * max(cfg.mu1, cfg.mu2))
+    assert (np.abs(got - want) <= rounding_slack(2 * trained.vocab.dim + pairs, total)).all()
+
+
+def train_recording_sums(monkeypatch, data, shape, cfg):
+    """``train``, with a mask over its loss trace of the entries that summed
+    the columns, and per entry the hinges that its sums moved to the other
+    side, as the next epoch's start marks them."""
+    summed, flips = [], collections.Counter()
+
+    def mark(self, *args, real=lmnn._PairTerms.mark):
+        before = self.flips
+        real(self, *args)
+        flips[len(summed) - 1] += self.flips - before
+
+    def loss(self, *args, real=lmnn._PairTerms.loss):
+        summed.append(True)
+        return real(self, *args)
+
+    def loss_of_c(self, *args, real=lmnn._PairTerms.loss_of_c):
+        summed.append(False)
+        return real(self, *args)
+
+    with monkeypatch.context() as patch:
+        for name, fn in [("mark", mark), ("loss", loss), ("loss_of_c", loss_of_c)]:
+            patch.setattr(lmnn._PairTerms, name, fn)
+        trained = train(data, shape, cfg)
+    return trained, np.array(summed), flips
+
+
+def initial_distances(data, k):
+    """The target distances and the cross-class distances at the initial weights."""
+    vocab, profiles, labels = encode_dataset(data, GramShape(2, 2))
+    model = WeightModel.initial(vocab)
+    D = pairwise_distances(model, *[count_matrix(profiles, vocab)] * 2)
+    targets = build_targets(profiles, labels, model, k)
+    labels = np.array(labels)
+    return np.array([D[i, j] for i, j in targets]), D[labels[:, None] != labels]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 4])
+def test_train_sums_the_columns_only_when_a_hinge_could_change_sides(monkeypatch, seed):
+    data = strings_subset(12, seed=seed)
+    targets, cross = initial_distances(data, k=2)
+    # margins among the training distances, halfway between the integers of
+    # the initial weights, so hinges flip between refreshes
+    mu1, mu2 = np.floor(np.median(targets)) + 0.5, np.floor(np.percentile(cross, 10)) + 0.5
+    cfg = TrainConfig(k=2, mu1=mu1, mu2=mu2, eta=0.005, epochs=80, impostor_refresh_every=20)
+    want_w, want_trace = train_rebuilding_every_refresh(data, GramShape(2, 2), cfg)
+    trained, summed, flips = train_recording_sums(monkeypatch, data, GramShape(2, 2), cfg)
+
+    assert trained.model.w.tobytes() == want_w.tobytes()
+    assert_trace_within_rounding(trained, want_trace, cfg, len(data), summed)
+    epochs = np.arange(cfg.epochs + 1)
+    drifted = summed & (epochs % cfg.impostor_refresh_every != 0) & (epochs < cfg.epochs)
+    assert drifted.any() and not summed.all()  # between refreshes sums both fired and were skipped
+    assert sum(flips[e] for e in drifted.nonzero()[0]) > 0  # and hinges flipped at them
+
+
+def test_a_hinge_on_its_margin_stays_inactive_and_forces_a_sum(monkeypatch):
+    data = strings_subset(12, seed=1)
+    targets, cross = initial_distances(data, k=2)
+    # the initial distances are integers: the first target pair sits on mu1
+    mu1, mu2 = targets[0], np.floor(np.percentile(cross, 10)) + 0.5
+    vocab, profiles, labels = encode_dataset(data, GramShape(2, 2))
+    pairs = PairSet(build_targets(profiles, labels, WeightModel.initial(vocab), 2), [])
+    terms = _PairTerms(count_matrix(profiles, vocab), pairs)
+    cfg = TrainConfig(mu1=mu1, mu2=mu2)
+    d = terms.resum(softplus(np.full(vocab.dim, W_INIT)), cfg)
+    terms.mark(d, cfg)
+    assert d[0] == mu1 and not terms.pos.active[0]
+    assert terms.room <= 0  # even a drift of 0 is not below it: the next epoch sums
+
+    for margin, sums in [(mu1, True), (mu1 + 0.5, False)]:
+        cfg = TrainConfig(k=2, mu1=margin, mu2=mu2, eta=1e-4, epochs=4, impostor_refresh_every=50)
+        want_w, want_trace = train_rebuilding_every_refresh(data, GramShape(2, 2), cfg)
+        trained, summed, _ = train_recording_sums(monkeypatch, data, GramShape(2, 2), cfg)
+        assert trained.model.w.tobytes() == want_w.tobytes()
+        assert_trace_within_rounding(trained, want_trace, cfg, len(data), summed)
+        # on the margin epoch 1 sums; half a unit off it, a step of 1e-4 does not
+        assert summed[1] == sums
 
 
 def test_train_rejects_degenerate_data():
@@ -902,6 +1008,25 @@ def test_ambiguous_comments_rejected_with_line_number(tmp_path, comments, match)
     path.write_text("\n".join(["pqgram-model v1 p=1 q=2 dim=1", *comments, "OOV 0.5"]) + "\n")
     with pytest.raises(ModelFormatError, match=match):
         load_model(path)
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        (" seed=0", "", "missing key 'seed'"),
+        ("k=1", "k=x", "bad value 'x' for key 'k'"),
+    ],
+    ids=["missing-key", "bad-value"],
+)
+def test_config_comment_errors_name_their_key(tmp_path, capsys, old, new, message):
+    path = tmp_path / "m.txt"
+    path.write_text(f"pqgram-model v1 p=1 q=2 dim=1\n{CONFIG.replace(old, new)}\nOOV 0.5\n")
+    with pytest.raises(ModelFormatError, match=rf":2: bad config comment \({message}\)$"):
+        load_model(path)
+    args = ["dist", "--algo", "wpq", "--model", str(path), "--t1", "a", "--t2", "b",
+            "-p", "1", "-q", "2"]
+    assert run(args) == 2
+    assert f"m.txt:2: bad config comment ({message})" in capsys.readouterr().err
 
 
 def test_unknown_comment_exits_2_from_the_cli(tmp_path, capsys):
